@@ -16,10 +16,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -285,37 +285,83 @@ func BenchmarkSearchAnnealing(b *testing.B) { benchSearch(b, "annealing") }
 func BenchmarkSearchRandom(b *testing.B)    { benchSearch(b, "random") }
 
 func benchSearch(b *testing.B, alg string) {
-	spec := cluster.HY1(8)
-	cfg := apps.DefaultJacobiConfig()
-	cfg.Rows, cfg.Cols, cfg.Iterations = 1024, 128, 5
-	app := apps.NewJacobi(cfg)
-	model, err := mheta.Instrument(spec, app, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec, app, model := benchSearchModel(b)
 	b.ResetTimer()
 	var res mheta.SearchResult
+	var err error
 	for i := 0; i < b.N; i++ {
 		res, err = mheta.SearchWith(alg, spec, app, model, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.Evaluations), "evals")
-	// Candidate throughput: model evaluations per wall-clock second, the
-	// figure that bounds how elaborate a runtime search can be (§5.3).
-	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(float64(res.Evaluations)*1e9/perOp, "cands/s")
+	// Candidate throughput — model evaluations per wall-clock second — is
+	// the figure that bounds how elaborate a runtime search can be (§5.3).
+	reportSearch(b, res)
 	blk := model.Predict(mheta.BlockDistribution(app, spec)).Total
 	b.ReportMetric(blk/res.Time, "speedup-vs-blk")
 }
 
 // BenchmarkSearchParallel measures the concurrent evaluation pool: GBS
-// and Genetic at 1, 4 and NumCPU workers, reporting allocs/op and the
-// wall-clock speedup over a freshly measured serial baseline. Results are
-// bit-identical across worker counts (see internal/search pool tests);
-// only the speed changes.
+// and Genetic at 1, 4 and NumCPU workers (each count once), reporting
+// allocs/op and candidate throughput. Results are bit-identical across
+// worker counts (see internal/search pool tests); only the speed changes.
 func BenchmarkSearchParallel(b *testing.B) {
+	spec, app, model := benchSearchModel(b)
+	workerCounts := []int{1, 4}
+	if n := runtime.NumCPU(); !slices.Contains(workerCounts, n) {
+		workerCounts = append(workerCounts, n)
+	}
+	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic} {
+		for _, workers := range workerCounts {
+			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var res mheta.SearchResult
+				var err error
+				for i := 0; i < b.N; i++ {
+					res, err = mheta.SearchWithWorkers(alg, spec, app, model, 42, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportSearch(b, res)
+			})
+		}
+	}
+}
+
+// BenchmarkSearchFreshClone measures a search the way mheta-serve's
+// /search runs one: each op clones the instrumented master, predicts the
+// Blk baseline on the clone and searches it. Unlike benchSearch, which
+// reuses one model, every op pays what a clone does not share with its
+// master — its scratch, its delta evaluator and its pool workers.
+func BenchmarkSearchFreshClone(b *testing.B) {
+	spec, app, master := benchSearchModel(b)
+	blk := mheta.BlockDistribution(app, spec)
+	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var res mheta.SearchResult
+				var err error
+				for i := 0; i < b.N; i++ {
+					model := master.Clone()
+					_ = model.Predict(blk)
+					res, err = mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{Workers: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportSearch(b, res)
+			})
+		}
+	}
+}
+
+// benchSearchModel instruments the 8-rank HY1 Jacobi scenario the search
+// benchmarks share.
+func benchSearchModel(b *testing.B) (mheta.ClusterSpec, *mheta.App, *mheta.Model) {
+	b.Helper()
 	spec := cluster.HY1(8)
 	cfg := apps.DefaultJacobiConfig()
 	cfg.Rows, cfg.Cols, cfg.Iterations = 1024, 128, 5
@@ -324,46 +370,15 @@ func BenchmarkSearchParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workerCounts := []int{1, 4}
-	if n := runtime.NumCPU(); n != 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic} {
-		serial := serialSearchNs(b, alg, spec, app, model)
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var res mheta.SearchResult
-				for i := 0; i < b.N; i++ {
-					res, err = mheta.SearchWithWorkers(alg, spec, app, model, 42, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(serial/perOp, "speedup-vs-serial")
-				b.ReportMetric(float64(res.Evaluations), "evals")
-				b.ReportMetric(float64(res.Evaluations)*1e9/perOp, "cands/s")
-			})
-		}
-	}
+	return spec, app, model
 }
 
-// serialSearchNs times the single-worker search (best of three after a
-// warm-up) as the speedup baseline.
-func serialSearchNs(b *testing.B, alg string, spec mheta.ClusterSpec, app *mheta.App, model *mheta.Model) float64 {
-	b.Helper()
-	best := math.MaxFloat64
-	for i := 0; i < 4; i++ {
-		start := time.Now()
-		if _, err := mheta.SearchWithWorkers(alg, spec, app, model, 42, 1); err != nil {
-			b.Fatal(err)
-		}
-		if el := float64(time.Since(start).Nanoseconds()); i > 0 && el < best {
-			best = el
-		}
-	}
-	return best
+// reportSearch reports the evaluations the last search spent and the
+// candidate throughput over the whole run.
+func reportSearch(b *testing.B, res mheta.SearchResult) {
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(float64(res.Evaluations), "evals")
+	b.ReportMetric(float64(res.Evaluations)*1e9/perOp, "cands/s")
 }
 
 // BenchmarkMemoisedEvaluate measures the memo's warm path — re-scoring a

@@ -42,7 +42,8 @@ import (
 const defaultBench = "^Benchmark(ModelEvaluate|ModelEvaluatePipelined|" +
 	"MemoisedEvaluate|MemoisedEvaluateObserved|MemoConcurrentBatches|" +
 	"DeltaEvaluate|DeltaEvaluatePipelined|Emulate|ServePredict|" +
-	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|SearchParallel)$"
+	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|SearchParallel|" +
+	"SearchFreshClone)$"
 
 // defaultGate guards the memo, search and emulator-scaling benchmarks —
 // the ones whose performance this repo actively optimises and must not

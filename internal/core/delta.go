@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"mheta/internal/program"
 )
@@ -34,34 +36,84 @@ const deltaMaxBytes = 64 << 20 //mheta:units bytes
 
 // deltaPageShift sizes the cache pages: each page covers 1<<deltaPageShift
 // consecutive widths of one node. A search visits a narrow band of widths
-// around the balanced point, so paging keeps a cold cache's allocation
-// proportional to the widths actually seen rather than the problem size —
-// pool worker clones start cold every search, and a flat
-// (maxW+1)×sections row per node made that cold start the dominant cost
-// of small parallel searches.
+// around the balanced point, so paging keeps the table's allocation
+// proportional to the widths actually seen rather than the problem size.
 const (
 	deltaPageShift = 6
 	deltaPageMask  = 1<<deltaPageShift - 1
 )
 
-// DeltaEvaluator caches per-(section, node, width) busy terms for one
-// Model and evaluates candidate distributions by replaying cached terms
-// through the model's clock chaining. Like the Model, it is not safe for
-// concurrent use; Model.Clone gives each goroutine its own (cold) one.
-type DeltaEvaluator struct {
-	m *Model
+// busyUnfilled is the bit pattern of an unfilled table entry
+// (math.Float64bits(math.NaN())).
+const busyUnfilled uint64 = 0x7ff8000000000001
+
+// busyTable is one instrumented model's busy-term cache, shared by the
+// model and every clone of it: NewModel creates it, Clone shares the
+// pointer, and every DeltaEvaluator over any of those models reads and
+// fills it, so an engine's batcher, its /search requests and their pool
+// workers all replay each other's terms. It is safe for concurrent use
+// and lock-free once built (DESIGN.md §5.12):
+//
+//   - the per-node page tables are allocated once, under the table's
+//     sync.Once, by the first NewDeltaEvaluator over any model sharing it;
+//   - each page is published once, by a CompareAndSwap on its slot, with
+//     every entry already busyUnfilled;
+//   - a fill stores sections 1..S-1 first and the si == 0 presence slot
+//     last, so a reader that sees slot 0 filled sees the whole column.
+//
+// Racing fills of the same (p, w) compute identical bits — the terms are
+// a pure function of (section, node, width) at kShared == 1 — so the
+// losing store rewrites the winner's values with themselves.
+type busyTable struct {
+	once sync.Once
+	// The fields below are written only inside once.Do and read-only
+	// after it.
+	//
 	// maxW is the largest representable block count (the problem size):
 	// distributions partition ΣBaseDist elements, so no rank exceeds it.
 	maxW int //mheta:units elems
-	// rows[p][w>>deltaPageShift][(w&deltaPageMask)*S+si] is
-	// sectionBusy(si, p, w) at kShared == 1, or NaN while unfilled
-	// (S = section count). Keeping one node's sections contiguous means a
-	// candidate replay reads S adjacent entries, instead of S scattered
-	// rows; paging by width keeps cold-cache allocation proportional to
-	// the widths visited. Page tables and pages allocate lazily; fillNode
-	// populates every section's entry for a (p, w) at once, so testing
-	// the si == 0 slot decides presence for all sections.
-	rows [][][]float64 //mheta:units seconds
+	// pages[p][w>>deltaPageShift] is the page holding rank p's terms for
+	// the page's widths, nil until first published; pages itself is nil
+	// when the cache is disabled. Within a page, entry
+	// (w&deltaPageMask)*S+si holds Float64bits of sectionBusy(si, p, w)
+	// at kShared == 1, or busyUnfilled; keeping one node's sections
+	// contiguous means a candidate replay reads S adjacent entries
+	// instead of S scattered rows.
+	pages [][]atomic.Pointer[busyPage]
+}
+
+// busyPage is one page of a node's busy terms: 1<<deltaPageShift widths ×
+// S sections of Float64bits values.
+type busyPage []atomic.Uint64
+
+// build sizes the table for m's parameters. The footprint bound is per
+// master model: every clone shares the one table.
+func (t *busyTable) build(m *Model) {
+	for _, w := range m.p.BaseDist {
+		t.maxW += w
+	}
+	n, S := m.p.Nodes, len(m.p.Sections)
+	footprint := int64(S) * int64(n) * (int64(t.maxW) + 1) * 8 //mheta:units bytes
+	if t.maxW <= 0 || S == 0 || footprint > deltaMaxBytes {
+		return
+	}
+	t.pages = make([][]atomic.Pointer[busyPage], n)
+	for p := range t.pages {
+		t.pages[p] = make([]atomic.Pointer[busyPage], t.maxW>>deltaPageShift+1)
+	}
+}
+
+// DeltaEvaluator evaluates candidate distributions for one Model by
+// replaying busy terms from the model's shared busyTable through the
+// model's clock chaining. Like the Model, it is not safe for concurrent
+// use; give each goroutine its own Model.Clone, whose evaluator shares
+// the table but owns the replay columns below.
+type DeltaEvaluator struct {
+	m *Model
+	// maxW and pages alias the shared table's (read-only after build);
+	// pages is nil when the cache is disabled.
+	maxW  int //mheta:units elems
+	pages [][]atomic.Pointer[busyPage]
 	// streamBit[p][w] caches whether rank p streams at width w (0 unknown,
 	// 1 resident, 2 streaming). Allocated only under SharedDisk, where the
 	// census gates the kShared fallback before any busy lookup.
@@ -82,8 +134,7 @@ type DeltaEvaluator struct {
 	// that column has never been written. Successive search candidates
 	// differ in a handful of ranks, so the per-eval replay touches only
 	// the changed columns.
-	lastD   []int //mheta:units elems
-	enabled bool
+	lastD []int //mheta:units elems
 	// fused marks the two-section [nearest-neighbour, all-reduce]
 	// eight-rank program shape, for which Evaluate chains both model
 	// iterations through the register-resident jacobi8 kernel (clocks
@@ -94,47 +145,44 @@ type DeltaEvaluator struct {
 	stats DeltaStats
 }
 
-// DeltaStats counts cache traffic. Plain counters: the evaluator has the
-// same single-goroutine contract as the Model it wraps.
+// DeltaStats counts one evaluator's cache traffic. Plain counters: the
+// evaluator has the same single-goroutine contract as the Model it wraps,
+// so each clone counts its own lookups even though the table is shared.
 type DeltaStats struct {
-	// Hits and Misses count per-node busy-row lookups on the delta path.
+	// Hits and Misses count per-node busy-row lookups on the delta path;
+	// a miss is a lookup this evaluator had to fill.
 	Hits   int64
 	Misses int64
 	// FullEvals counts candidates that fell back to the full path.
 	FullEvals int64
 }
 
-// NewDeltaEvaluator builds a delta evaluator for m. The cache is disabled
-// (every Evaluate falls back to the full path) when the busy-term table
-// would exceed deltaMaxBytes or the parameter set has no distributed
-// work.
+// NewDeltaEvaluator builds a delta evaluator for m over m's shared
+// busy-term table. The cache is disabled (every Evaluate falls back to
+// the full path) when the table would exceed deltaMaxBytes or the
+// parameter set has no distributed work.
 func NewDeltaEvaluator(m *Model) *DeltaEvaluator {
-	maxW := 0
-	for _, w := range m.p.BaseDist {
-		maxW += w
+	t := m.terms
+	t.once.Do(func() { t.build(m) })
+	de := &DeltaEvaluator{m: m, maxW: t.maxW, pages: t.pages}
+	if de.pages == nil { // cache disabled
+		return de
 	}
-	de := &DeltaEvaluator{m: m, maxW: maxW}
-	n := m.p.Nodes
-	widths := int64(maxW) + 1
-	footprint := int64(len(m.p.Sections)) * int64(n) * widths * 8 //mheta:units bytes
-	if maxW > 0 && len(m.p.Sections) > 0 && footprint <= deltaMaxBytes {
-		de.enabled = true
-		de.rows = make([][][]float64, n)
-		de.busy = makeBusy2D(len(m.p.Sections), n)
-		de.lastD = make([]int, n)
-		for p := range de.lastD {
-			de.lastD[p] = -1
-		}
-		if m.p.SharedDisk {
-			de.streamBit = make([][]int8, n)
-		}
-		if len(m.p.Sections) == 2 {
-			de.b0, de.b1 = de.busy[0][:n], de.busy[1][:n]
-		}
-		de.fused = n == 8 && len(m.p.Sections) == 2 &&
-			m.p.Sections[0].Comm == program.CommNearestNeighbor &&
-			m.p.Sections[1].Comm == program.CommReduction
+	n, S := m.p.Nodes, len(m.p.Sections)
+	de.busy = makeBusy2D(S, n)
+	de.lastD = make([]int, n)
+	for p := range de.lastD {
+		de.lastD[p] = -1
 	}
+	if m.p.SharedDisk {
+		de.streamBit = make([][]int8, n)
+	}
+	if S == 2 {
+		de.b0, de.b1 = de.busy[0][:n], de.busy[1][:n]
+	}
+	de.fused = n == 8 && S == 2 &&
+		m.p.Sections[0].Comm == program.CommNearestNeighbor &&
+		m.p.Sections[1].Comm == program.CommReduction
 	return de
 }
 
@@ -155,7 +203,7 @@ func (de *DeltaEvaluator) Stats() DeltaStats { return de.stats }
 func (de *DeltaEvaluator) Evaluate(d []int) (float64, bool) {
 	m := de.m
 	n := m.p.Nodes
-	if !de.enabled || len(d) != n || m.p.IterWeights != nil {
+	if de.pages == nil || len(d) != n || m.p.IterWeights != nil {
 		de.stats.FullEvals++
 		return m.PredictTotal(d), false
 	}
@@ -196,7 +244,7 @@ func (de *DeltaEvaluator) Evaluate(d []int) (float64, bool) {
 	// sectionBusy calls see the same factor.
 	m.kShared = 1
 	S := len(m.p.Sections)
-	rows := de.rows[:n] // reslices bound the replay loop's checks once
+	pages := de.pages[:n] // reslices bound the replay loop's checks once
 	lastD := de.lastD[:n]
 	d = d[:n]
 	// Two-section programs replay through the column slices hoisted at
@@ -222,23 +270,26 @@ func (de *DeltaEvaluator) Evaluate(d []int) (float64, bool) {
 			de.stats.FullEvals++
 			return m.PredictTotal(d), false
 		}
-		var r []float64
-		if pt := rows[p]; pt != nil {
-			r = pt[w>>deltaPageShift]
-		}
 		base := (w & deltaPageMask) * S
-		if r == nil || r[base] != r[base] { // NaN: unfilled
+		var r busyPage
+		v0 := busyUnfilled
+		if pg := pages[p][w>>deltaPageShift].Load(); pg != nil {
+			r = (*pg)[base : base+S]
+			v0 = r[0].Load()
+		}
+		if v0 == busyUnfilled {
 			misses++
-			de.fillNode(p, w)
-			r = rows[p][w>>deltaPageShift]
+			r = (*de.fillNode(p, w))[base : base+S]
+			v0 = r[0].Load()
 		} else {
 			hits++
 		}
 		if b0 != nil {
-			b0[p], b1[p] = r[base], r[base+1]
+			b0[p] = math.Float64frombits(v0)
+			b1[p] = math.Float64frombits(r[1].Load())
 		} else {
-			for si := 0; si < S; si++ {
-				de.busy[si][p] = r[base+si]
+			for si := range r {
+				de.busy[si][p] = math.Float64frombits(r[si].Load())
 			}
 		}
 		lastD[p] = w
@@ -262,13 +313,13 @@ func (de *DeltaEvaluator) Evaluate(d []int) (float64, bool) {
 	return t1 + float64(m.p.Iterations-1)*(t2-t1), true
 }
 
-// Warm primes the cache rows for d's widths without chaining (used by
+// Warm primes the shared table for d's widths without chaining (used by
 // search front ends to pre-fill a batch's common ancestor). Purely an
 // optimisation: it never changes what Evaluate returns.
 //
 //mheta:units elems d
 func (de *DeltaEvaluator) Warm(d []int) {
-	if !de.enabled || len(d) != de.m.p.Nodes {
+	if de.pages == nil || len(d) != de.m.p.Nodes {
 		return
 	}
 	de.m.kShared = 1
@@ -277,43 +328,43 @@ func (de *DeltaEvaluator) Warm(d []int) {
 		if w < 0 || w > de.maxW {
 			continue
 		}
-		var r []float64
-		if pt := de.rows[p]; pt != nil {
-			r = pt[w>>deltaPageShift]
-		}
-		if base := (w & deltaPageMask) * S; r == nil || r[base] != r[base] {
+		pg := de.pages[p][w>>deltaPageShift].Load()
+		if pg == nil || (*pg)[(w&deltaPageMask)*S].Load() == busyUnfilled {
 			de.stats.Misses++
 			de.fillNode(p, w)
 		}
 	}
 }
 
-// fillNode plans rank p's residency at width w and computes every
-// section's busy term for (p, w) into the cache, allocating the node's
-// page table and the width's page on first touch. Filling all sections
-// together keeps presence consistent: the si == 0 slot decides hits for
-// the whole column.
+// fillNode plans rank p's residency at width w, stores every section's
+// busy term for (p, w) into the shared table and returns the page holding
+// them, publishing the page first if no clone has yet. The si == 0 slot
+// is stored last: it decides presence for the whole column, so readers
+// never see it filled ahead of the other sections.
 //
 //mheta:units elems w
-func (de *DeltaEvaluator) fillNode(p, w int) {
+func (de *DeltaEvaluator) fillNode(p, w int) *busyPage {
 	m := de.m
 	S := len(m.p.Sections)
-	pt := de.rows[p]
-	if pt == nil {
-		pt = make([][]float64, de.maxW>>deltaPageShift+1)
-		de.rows[p] = pt
-	}
-	pg := pt[w>>deltaPageShift]
+	slot := &de.pages[p][w>>deltaPageShift]
+	pg := slot.Load()
 	if pg == nil {
-		pg = make([]float64, (deltaPageMask+1)*S)
-		for i := range pg {
-			pg[i] = math.NaN()
+		fresh := make(busyPage, (deltaPageMask+1)*S)
+		for i := range fresh {
+			fresh[i].Store(busyUnfilled)
 		}
-		pt[w>>deltaPageShift] = pg
+		if slot.CompareAndSwap(nil, &fresh) {
+			pg = &fresh
+		} else {
+			pg = slot.Load() // another clone published the page first
+		}
 	}
 	m.residencyNode(p, w)
-	base := (w & deltaPageMask) * S
-	for si := range m.p.Sections {
-		pg[base+si] = m.sectionBusy(si, &m.p.Sections[si], p, w, 1)
+	r := (*pg)[(w&deltaPageMask)*S:]
+	v0 := m.sectionBusy(0, &m.p.Sections[0], p, w, 1)
+	for si := 1; si < S; si++ {
+		r[si].Store(math.Float64bits(m.sectionBusy(si, &m.p.Sections[si], p, w, 1)))
 	}
+	r[0].Store(math.Float64bits(v0))
+	return pg
 }

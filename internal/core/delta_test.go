@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"mheta/internal/program"
@@ -194,25 +195,37 @@ func TestDeltaInterleavedWithPredict(t *testing.T) {
 	}
 }
 
-func TestDeltaCloneStartsCold(t *testing.T) {
-	m := MustModel(deltaParams())
-	de := m.Delta()
+// TestDeltaClonesShareTerms pins the clone contract: clones share the
+// master's busy-term table, so a width one clone filled is a hit for a
+// sibling, while each evaluator's stats start at zero and count only its
+// own lookups.
+func TestDeltaClonesShareTerms(t *testing.T) {
+	p := deltaParams()
+	m := MustModel(p)
+	a, b := m.Clone().Delta(), m.Clone().Delta()
+	if a == b {
+		t.Fatal("clones share one delta evaluator")
+	}
 	d := []int{30, 18}
-	want, _ := de.Evaluate(d)
-
-	c := m.Clone()
-	cd := c.Delta()
-	if cd == de {
-		t.Fatal("clone shares the parent's delta evaluator")
+	want := math.Float64bits(MustModel(p).PredictTotal(d))
+	if got, used := a.Evaluate(d); !used || math.Float64bits(got) != want {
+		t.Fatalf("first clone: %v (delta=%v), want bits %#x", got, used, want)
 	}
-	if st := cd.Stats(); st != (DeltaStats{}) {
-		t.Fatalf("clone's delta cache not cold: %+v", st)
+	if st := a.Stats(); st.Misses != 2 {
+		t.Fatalf("first clone stats = %+v, want 2 misses", st)
 	}
-	if got, _ := cd.Evaluate(d); got != want {
-		t.Fatalf("clone delta %v != parent %v", got, want)
+	if st := b.Stats(); st != (DeltaStats{}) {
+		t.Fatalf("sibling stats not per-evaluator: %+v", st)
 	}
-	if cd.Stats().Misses == 0 {
-		t.Fatal("clone should have filled its own cache")
+	if got, used := b.Evaluate(d); !used || math.Float64bits(got) != want {
+		t.Fatalf("sibling: %v (delta=%v), want bits %#x", got, used, want)
+	}
+	if st := b.Stats(); st.Misses != 0 || st.Hits != 2 {
+		t.Fatalf("sibling stats = %+v, want 2 hits and no misses", st)
+	}
+	// The master's own evaluator reads the same table.
+	if m.Delta().Evaluate(d); m.Delta().Stats().Misses != 0 {
+		t.Fatalf("master stats = %+v, want no misses", m.Delta().Stats())
 	}
 }
 

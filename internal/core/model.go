@@ -58,9 +58,13 @@ type Model struct {
 	// distribution under evaluation (1 for private disks), refreshed by
 	// residency().
 	kShared float64 //mheta:units ratio
+	// terms is the delta evaluators' busy-term cache, created by NewModel
+	// and shared by every clone (see busyTable).
+	//lint:shared lock-free cache of pure (section, node, width) terms; sharing it is what keeps clones from starting cold (DESIGN.md §5.12).
+	terms *busyTable
 	// delta is the model's incremental evaluator, created lazily by
-	// Delta(). Clones start cold: the cache only affects evaluation speed,
-	// never values, so it is per-instance state like the scratch above.
+	// Delta(). Its replay columns and stats are per-instance state like
+	// the scratch above; the terms it replays come from the shared table.
 	delta *DeltaEvaluator
 }
 
@@ -136,6 +140,7 @@ func NewModel(p Params) (*Model, error) {
 		activeBuf:   make([]int, 0, n),
 		allRanks:    allRanks,
 		layouts:     makeLayouts(n, len(p.DistVars)),
+		terms:       new(busyTable),
 	}, nil
 }
 
@@ -206,8 +211,9 @@ func (m *Model) Params() Params { return m.p }
 // compiled stage-variable table, the section network costs and the tree
 // schedules are shared read-only; only the per-evaluation scratch is
 // duplicated, so cloning skips re-validation and costs a handful of small
-// allocations instead of a full NewModel. The clone's delta evaluator
-// starts cold (the cache affects speed, never values).
+// allocations instead of a full NewModel. The clone shares the model's
+// busy-term table, so its delta evaluator replays every term any sibling
+// has filled; only the evaluator's replay columns and stats are its own.
 func (m *Model) Clone() *Model {
 	n := m.p.Nodes
 	return &Model{
@@ -226,13 +232,15 @@ func (m *Model) Clone() *Model {
 		activeBuf:   make([]int, 0, n),
 		allRanks:    m.allRanks,
 		layouts:     makeLayouts(m.p.Nodes, len(m.p.DistVars)),
-		delta:       nil, // clones start with a cold delta cache
+		terms:       m.terms,
+		delta:       nil, // created by Delta() over the shared terms
 	}
 }
 
 // Delta returns the model's incremental evaluator, creating it on first
 // use. Like the Model itself it is not safe for concurrent use; clones
-// made with Clone get their own (cold) delta evaluator.
+// made with Clone get their own evaluator over the shared busy-term
+// table, so a clone's first Delta() already sees its siblings' terms.
 func (m *Model) Delta() *DeltaEvaluator {
 	if m.delta == nil {
 		m.delta = NewDeltaEvaluator(m)

@@ -11,12 +11,13 @@ import (
 
 // TestDeltaConcurrentSharedMemo exercises the race surface of the
 // production parallel-search stack: one shared *Memo in front of a *Pool
-// whose workers each own a DeltaModelEvaluator clone (a single-goroutine
-// delta cache over its own model clone), hammered by several goroutines
+// whose workers each own a DeltaModelEvaluator clone (single-goroutine
+// replay columns over its own model clone), hammered by several goroutines
 // submitting overlapping batches. Under -race this proves the clones
 // share nothing mutable beyond the memo's synchronised table, the pool's
-// channels and the atomic delta-path counters — and the scores every
-// goroutine observes must be bit-identical to a serial full evaluation.
+// channels, the lock-free busy-term table and the atomic delta-path
+// counters — and the scores every goroutine observes must be
+// bit-identical to a serial full evaluation.
 func TestDeltaConcurrentSharedMemo(t *testing.T) {
 	model := core.MustModel(poolTestParams(8))
 	dme := NewDeltaModelEvaluator(model)

@@ -33,14 +33,14 @@ func (m ModelEvaluator) CloneEvaluator() Evaluator {
 // to ModelEvaluator — the delta cache affects only speed — so swapping it
 // in changes no search outcome, only the candidates/second rate. It is a
 // BaseEvaluator/BaseBatchEvaluator: searchers name each batch's ancestor,
-// which primes the cache rows the batch's candidates share with it (this
-// is what makes pool worker clones, whose caches start cold, warm up in
-// one step instead of per candidate).
+// which primes the cache rows the batch's candidates share with it, so a
+// batch's first candidates find their terms already filled.
 //
 // Like the Model it wraps, a DeltaModelEvaluator is single-goroutine;
-// CloneEvaluator gives each pool worker its own model clone and cold
-// cache, while the observability counters stay shared so the registry
-// sees whole-search totals.
+// CloneEvaluator gives each pool worker its own model clone, which shares
+// the master's busy-term table (core.Model.Clone), while the
+// observability counters stay shared so the registry sees whole-search
+// totals.
 type DeltaModelEvaluator struct {
 	de *core.DeltaEvaluator
 	// lastBase is a private copy of the base most recently warmed,
@@ -155,7 +155,8 @@ func (e *DeltaModelEvaluator) warm(base dist.Distribution) {
 }
 
 // CloneEvaluator implements CloneableEvaluator: each clone wraps its own
-// model clone (cold cache, bit-identical scores) and shares the atomic
+// model clone — own replay columns and stats, the master's shared
+// busy-term table, bit-identical scores — and shares the atomic
 // observability counters.
 func (e *DeltaModelEvaluator) CloneEvaluator() Evaluator {
 	return &DeltaModelEvaluator{

@@ -153,7 +153,8 @@ func (p *Pool) EvaluateFrom(base, d dist.Distribution) float64 {
 
 // EvaluateBatchFromInto implements BaseBatchEvaluator: the deterministic
 // i%workers stride of EvaluateBatchInto, with the batch's ancestor handed
-// to every base-aware worker (each warms its own clone's cache once).
+// to every base-aware worker (each warms the shared busy-term table for it
+// once).
 func (p *Pool) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if len(out) != len(ds) {
 		panic("search: batch output length mismatch")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -76,5 +77,38 @@ func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutines grew: base=%d after=%d\n%s", base, after, buf[:n])
+	}
+}
+
+// TestSearchWorkersBounded pins the client-controlled pool size: a huge
+// workers value is clamped to GOMAXPROCS (it would otherwise clone one
+// model per requested worker) and returns exactly the workers=1 bits,
+// the pool's goroutines exit with the request, and a negative value is
+// rejected with 400.
+func TestSearchWorkersBounded(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	search := func(workers int) (int, []byte) {
+		return postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Alg: "genetic", Workers: workers})
+	}
+	code, want := search(1) // also builds the engine and its batcher
+	if code != http.StatusOK {
+		t.Fatalf("workers=1: status %d: %s", code, want)
+	}
+	base := stableGoroutines()
+	code, got := search(100_000_000)
+	if code != http.StatusOK {
+		t.Fatalf("workers=1e8: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("workers=1e8 answered %s, want the workers=1 answer %s", got, want)
+	}
+	if after := stableGoroutines(); after > base {
+		t.Errorf("goroutines grew across the search: base=%d after=%d", base, after)
+	}
+	if code, data := search(-1); code != http.StatusBadRequest {
+		t.Errorf("workers=-1: status %d (%s), want 400", code, data)
 	}
 }

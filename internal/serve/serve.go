@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -421,8 +422,9 @@ type SearchRequest struct {
 	// Alg is the algorithm: gbs (default), genetic, annealing, random.
 	Alg string `json:"alg,omitempty"`
 	// Workers is the evaluation-pool size for this search; 1 (and 0)
-	// evaluate inline, negative selects all cores. Results are
-	// bit-identical for any value.
+	// evaluate inline, values above GOMAXPROCS are clamped to it and
+	// negative values are rejected. Results are bit-identical for any
+	// accepted value.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the server's default request deadline; a
 	// search still running at the deadline is aborted (504).
@@ -463,10 +465,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown alg %q (gbs, genetic, annealing, random)", alg))
 		return
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = 1
+	if req.Workers < 0 {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("workers %d < 0", req.Workers))
+		return
 	}
+	// The pool clones one model per worker, so the client's value is
+	// bounded by the cores that could run them; pool results are
+	// bit-identical across worker counts, so clamping changes only speed.
+	workers := min(max(req.Workers, 1), runtime.GOMAXPROCS(0))
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 
@@ -496,7 +502,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Clone-then-search is exactly the CLI sequence: a fresh model, the
 	// Blk baseline prediction, then the search — so every returned value
 	// is bit-identical to mheta-search on the same scenario. Cloning the
-	// never-evaluated master is safe concurrently (pure reads).
+	// never-evaluated master is safe concurrently (pure reads); the clone
+	// and its pool workers replay the engine's shared busy-term table.
 	model := e.master.Clone()
 	blkPred := model.Predict(e.blk).Total
 	if s.testHookSearchStarted != nil {
