@@ -168,6 +168,37 @@ func benchFig1011(b *testing.B, spec cluster.Spec) {
 	}
 }
 
+// BenchmarkSweep times one Runner.Sweep — instrument, then emulate and
+// predict the spectrum — per (architecture, application) pair of the
+// end-to-end benchmark's sweep workload, at quick scale, reporting
+// spectrum points per second.
+func BenchmarkSweep(b *testing.B) {
+	r := &experiments.Runner{Scale: experiments.ScaleQuick, Seed: 1, NoiseAmp: 0.02, StepsPerLeg: 3, Workers: 1}
+	for _, c := range []struct {
+		spec cluster.Spec
+		ab   experiments.AppBuilder
+	}{
+		{cluster.DC(8), experiments.JacobiBuilder(false)},
+		{cluster.IO(8), experiments.JacobiBuilder(true)},
+		{cluster.HY1(8), experiments.RNABuilder()},
+		{cluster.HY2(8), experiments.CGBuilder()},
+		{cluster.HY2(8), experiments.LanczosBuilder()},
+	} {
+		b.Run(c.spec.Name+"-"+c.ab.Name, func(b *testing.B) {
+			points := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := r.Sweep(c.spec, c.ab, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += len(s.Points)
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
+	}
+}
+
 // BenchmarkModelEvaluate measures one MHETA evaluation — the paper's
 // "about 5.4 ms per distribution" headline. ns/op is the comparable
 // number.

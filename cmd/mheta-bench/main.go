@@ -36,20 +36,23 @@ import (
 )
 
 // defaultBench selects the micro benchmarks: model evaluation, memo,
-// and search throughput. The experiment-replay benchmarks (Figure9*,
-// SearchStudy, ...) run the emulator for minutes and measure accuracy,
-// not speed; they stay out of the perf gate.
+// search and emulator throughput, and the validation sweep. The
+// experiment-replay benchmarks (Figure9*, SearchStudy, ...) run the
+// emulator for minutes and measure accuracy, not speed; they are not
+// recorded. Sweep is recorded but not gated (see defaultGate).
 const defaultBench = "^Benchmark(ModelEvaluate|ModelEvaluatePipelined|" +
 	"MemoisedEvaluate|MemoisedEvaluateObserved|MemoConcurrentBatches|" +
 	"DeltaEvaluate|DeltaEvaluatePipelined|Emulate|ServePredict|" +
 	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|SearchParallel|" +
-	"SearchFreshClone)$"
+	"SearchFreshClone|Sweep)$"
 
 // defaultGate guards the memo, search and emulator-scaling benchmarks —
 // the ones whose performance this repo actively optimises and must not
 // quietly lose. The HTTP serving benchmark stays out of the ns/allocs
 // gate (net/http allocation counts drift across Go releases and load
 // patterns); it is held to its throughput floor via -min-metric instead.
+// Sweep stays out too: one op takes seconds, and on a host whose speed
+// drifts 2× a one-op ns/op is noise (bench/README.md).
 const defaultGate = "^Benchmark(Memoised|MemoConcurrentBatches|Search|Emulate)"
 
 // defaultMinMetric pins absolute throughput floors: benchmarks that must

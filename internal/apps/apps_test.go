@@ -9,6 +9,7 @@ import (
 	"mheta/internal/cluster"
 	"mheta/internal/dist"
 	"mheta/internal/exec"
+	"mheta/internal/memsim"
 	"mheta/internal/mpi"
 )
 
@@ -38,22 +39,46 @@ func runApp(t *testing.T, app *exec.App, spec cluster.Spec, d dist.Distribution)
 
 // ---- Jacobi ----------------------------------------------------------
 
+// ooc3 is a per-node memory size that streams every 32-row block of
+// the reference tests below in at least three chunks, the last one short
+// (fourteen-row chunks for Jacobi, twelve for RNA, seven for Multigrid), so
+// the kernels' rolling rows cross several chunk boundaries.
+const ooc3 = 1800
+
+// checkChunking asserts that mem splits a count-row block of rowBytes
+// rows, streamed over tiles, into at least three chunks with a short
+// last one.
+func checkChunking(t *testing.T, mem, rowBytes int64, count, tiles int) {
+	t.Helper()
+	l := memsim.PlanVar(memsim.Budget{Capacity: mem}, int64(count)*rowBytes, rowBytes)
+	st := memsim.StreamPlan(count, rowBytes, l.ICLABytes, tiles)
+	if st.ChunksPerTile < 3 || count%st.ChunkElems == 0 {
+		t.Fatalf("mem=%d streams %d rows as %d chunks of %d; want >= 3 with a short last chunk",
+			mem, count, st.ChunksPerTile, st.ChunkElems)
+	}
+}
+
 func TestJacobiMatchesReference(t *testing.T) {
 	cfg := apps.DefaultJacobiConfig()
 	cfg.Rows, cfg.Cols, cfg.Iterations = 128, 16, 4
-	for _, mem := range []int64{8 << 20, 4 << 10} { // in core and out of core
-		d := dist.Block(cfg.Rows, 4)
-		w := runApp(t, apps.NewJacobi(cfg), uniformSpec(4, mem), d)
-		ref, _ := apps.JacobiReference(cfg, d, cfg.Iterations)
-		for p := 0; p < 4; p++ {
-			blob := w.Rank(p).Disk().Extent("B")
-			start := d.Start(p)
-			for i := 0; i < d[p]; i++ {
-				for j := 0; j < cfg.Cols; j++ {
-					got := f64At(blob, i*cfg.Cols+j)
-					want := ref[start+i][j]
-					if got != want {
-						t.Fatalf("mem=%d rank %d row %d col %d: got %v want %v", mem, p, start+i, j, got, want)
+	d := dist.Block(cfg.Rows, 4)
+	checkChunking(t, ooc3, int64(cfg.Cols)*8, d[0], 1)
+	for _, prefetch := range []bool{false, true} {
+		cfg.Prefetch = prefetch
+		for _, mem := range []int64{8 << 20, 4 << 10, ooc3} {
+			w := runApp(t, apps.NewJacobi(cfg), uniformSpec(4, mem), d)
+			ref, _ := apps.JacobiReference(cfg, d, cfg.Iterations)
+			for p := 0; p < 4; p++ {
+				blob := w.Rank(p).Disk().Extent("B")
+				start := d.Start(p)
+				for i := 0; i < d[p]; i++ {
+					for j := 0; j < cfg.Cols; j++ {
+						got := f64At(blob, i*cfg.Cols+j)
+						want := ref[start+i][j]
+						if got != want {
+							t.Fatalf("prefetch=%v mem=%d rank %d row %d col %d: got %v want %v",
+								prefetch, mem, p, start+i, j, got, want)
+						}
 					}
 				}
 			}
@@ -109,22 +134,26 @@ func TestJacobiZeroBlockMatchesReference(t *testing.T) {
 func TestRNAMatchesReferenceExactly(t *testing.T) {
 	cfg := apps.DefaultRNAConfig()
 	cfg.Rows, cfg.Cols, cfg.Tiles, cfg.Iterations = 128, 64, 4, 3
-	for _, mem := range []int64{8 << 20, 4 << 10} {
-		d := dist.Block(cfg.Rows, 4)
-		w := runApp(t, apps.NewRNA(cfg), uniformSpec(4, mem), d)
-		ref, _ := apps.RNAReference(cfg, cfg.Iterations)
-		strip := cfg.Cols / cfg.Tiles
-		for p := 0; p < 4; p++ {
-			blob := w.Rank(p).Disk().Extent("T")
-			start := d.Start(p)
-			for k := 0; k < cfg.Tiles; k++ {
-				for i := 0; i < d[p]; i++ {
-					for j := 0; j < strip; j++ {
-						got := f64At(blob, (k*d[p]+i)*strip+j)
-						want := ref[start+i][k*strip+j]
-						if got != want {
-							t.Fatalf("mem=%d rank %d row %d col %d: %v != %v",
-								mem, p, start+i, k*strip+j, got, want)
+	d := dist.Block(cfg.Rows, 4)
+	checkChunking(t, ooc3, int64(cfg.Cols)*8, d[0], cfg.Tiles)
+	ref, _ := apps.RNAReference(cfg, cfg.Iterations)
+	strip := cfg.Cols / cfg.Tiles
+	for _, prefetch := range []bool{false, true} {
+		cfg.Prefetch = prefetch
+		for _, mem := range []int64{8 << 20, 4 << 10, ooc3} {
+			w := runApp(t, apps.NewRNA(cfg), uniformSpec(4, mem), d)
+			for p := 0; p < 4; p++ {
+				blob := w.Rank(p).Disk().Extent("T")
+				start := d.Start(p)
+				for k := 0; k < cfg.Tiles; k++ {
+					for i := 0; i < d[p]; i++ {
+						for j := 0; j < strip; j++ {
+							got := f64At(blob, (k*d[p]+i)*strip+j)
+							want := ref[start+i][k*strip+j]
+							if got != want {
+								t.Fatalf("prefetch=%v mem=%d rank %d row %d col %d: %v != %v",
+									prefetch, mem, p, start+i, k*strip+j, got, want)
+							}
 						}
 					}
 				}
@@ -392,6 +421,46 @@ func TestDefaultConfigsExerciseMemoryHierarchy(t *testing.T) {
 		}
 		if blkBytes <= 1<<20 {
 			t.Errorf("%s: Blk block %d B fits the 1 MiB small memory — IO configs would never stream", app.Prog.Name, blkBytes)
+		}
+	}
+}
+
+// kernel initialises app's state for rank 1 owning rows
+// [start, start+count) of variable v, and returns one Process call per
+// section in secs over the whole block as a single chunk (tile 0's strip
+// for tiled sections).
+func kernel(app *exec.App, v string, secs []int, start, count, tiles int) func() {
+	w := mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0)
+	nc := &exec.NodeCtx{R: w.Rank(1), Prog: app.Prog, Start: start, Count: count}
+	st := app.NewState(nc)
+	st.Init(nc)
+	blob := nc.R.Disk().Extent(v)
+	buf := blob[:len(blob)/tiles]
+	return func() {
+		for _, sec := range secs {
+			st.Process(nc, sec, 0, 0, start, count, buf)
+		}
+	}
+}
+
+func TestKernelsDoNotAllocate(t *testing.T) {
+	jc := apps.DefaultJacobiConfig()
+	jc.Rows, jc.Cols = 128, 16
+	rc := apps.DefaultRNAConfig()
+	rc.Rows, rc.Cols, rc.Tiles = 128, 64, 4
+	mc := apps.DefaultMGConfig()
+	mc.Rows, mc.Cols = 128, 16
+	for _, k := range []struct {
+		name string
+		call func()
+	}{
+		{"jacobi", kernel(apps.NewJacobi(jc), "B", []int{0, 1}, 32, 32, 1)},
+		{"rna", kernel(apps.NewRNA(rc), "T", []int{0, 1}, 32, 32, rc.Tiles)},
+		{"multigrid", kernel(apps.NewMultigrid(mc), "U", []int{0, 1, 2, 3, 4}, 32, 32, 1)},
+	} {
+		k.call() // warm
+		if n := testing.AllocsPerRun(20, k.call); n != 0 {
+			t.Errorf("%s: Process allocates %v times per call, want 0", k.name, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"mheta/internal/exec"
 	"mheta/internal/program"
@@ -103,7 +104,7 @@ type jacobiState struct {
 	// bidirectional boundary traffic).
 	haloDown []float64
 	// carry is the last updated row, fed to the next chunk and sent
-	// downstream after the sweep.
+	// downstream after the sweep; the sweep rewrites it in place.
 	carry []float64
 	// firstRow is the block's first row after the sweep (sent upstream).
 	firstRow []float64
@@ -154,53 +155,39 @@ func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int,
 	cfg := s.cfg
 	switch sec {
 	case 0: // relax sweep over a chunk of B
-		prev := s.haloUp
-		if gRow > nc.Start {
-			prev = s.carry
-		} else {
-			s.residual = 0
+		// carry rolls the "up" row in place: at column j it still holds
+		// row i−1's value until row i's replaces it. math.Abs is
+		// branch-free; it differs from compare-and-negate only at −0,
+		// which adds nothing to a sum that starts at +0.
+		up := s.carry
+		res := s.residual
+		if gRow == nc.Start {
+			copy(up, s.haloUp)
+			res = 0
 		}
 		cols := cfg.Cols
 		for i := 0; i < nRows; i++ {
 			base := i * cols
+			left := f64(buf, base) // column 0 is its own left neighbour
 			for j := 0; j < cols; j++ {
 				old := f64(buf, base+j)
-				left := old
-				if j > 0 {
-					left = f64(buf, base+j-1)
-				}
-				up := prev[j]
-				v := 0.25*up + 0.5*old + 0.25*left
+				v := 0.25*up[j] + 0.5*old + 0.25*left
 				putF64(buf, base+j, v)
-				s.residual += abs(v - old)
+				up[j] = v
+				left = v
+				res += math.Abs(v - old)
 			}
-			prev = rowOf(buf, i, cols)
 			if gRow+i == nc.Start {
-				copy(s.firstRow, prev)
+				copy(s.firstRow, up)
 			}
 		}
-		copy(s.carry, prev)
+		s.residual = res
 		return chunkWork(float64(nRows)*float64(cols), buf)
 	case 1: // local residual bookkeeping (cheap, in-memory)
 		return float64(nRows)
 	default:
 		panic(fmt.Sprintf("jacobi: unexpected section %d", sec))
 	}
-}
-
-func rowOf(buf []byte, i, cols int) []float64 {
-	row := make([]float64, cols)
-	for j := range row {
-		row[j] = f64(buf, i*cols+j)
-	}
-	return row
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func (s *jacobiState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
@@ -267,7 +254,7 @@ func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, fl
 					}
 					v := 0.25*prev[j] + 0.5*old + 0.25*left
 					grid[i][j] = v
-					residual += abs(v - old)
+					residual += math.Abs(v - old)
 				}
 				prev = grid[i]
 			}

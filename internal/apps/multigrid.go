@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"mheta/internal/exec"
 	"mheta/internal/program"
@@ -110,11 +111,12 @@ type mgState struct {
 	cfg MGConfig
 	// halo[s] is the upstream boundary row for section s's sweep (fine
 	// for S0/S3, workspace for S1/S2).
-	halo map[int][]float64
+	halo [4][]float64
 	// carry is the last processed row of the current sweep; firstRow the
-	// first, both captured per section for the exchanges.
-	carry, firstRow []float64
-	residual        float64
+	// first, both captured per section for the exchanges. spare is
+	// carry's partner in the row ping-pong.
+	carry, firstRow, spare []float64
+	residual               float64
 	// GlobalResidual is the reduction result, for verification.
 	GlobalResidual float64
 }
@@ -142,8 +144,7 @@ func (s *mgState) Init(nc *exec.NodeCtx) {
 		}
 		nc.R.Disk().Store("U", block)
 	}
-	s.halo = make(map[int][]float64)
-	for sec := 0; sec < 4; sec++ {
+	for sec := range s.halo {
 		if nc.Start > 0 {
 			if sec == 1 || sec == 2 {
 				s.halo[sec] = make([]float64, cfg.Cols) // workspace starts zero
@@ -155,6 +156,7 @@ func (s *mgState) Init(nc *exec.NodeCtx) {
 		}
 	}
 	s.carry = make([]float64, cfg.Cols)
+	s.spare = make([]float64, cfg.Cols)
 	s.firstRow = make([]float64, cfg.Cols)
 }
 
@@ -164,39 +166,38 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 		return float64(nRows)
 	}
 	cols := cfg.Cols
-	prev := s.halo[sec]
-	if gRow > nc.Start {
-		prev = s.carry
-	} else {
+	// prev is the row above, out receives this row's values; the two
+	// swap after every row. They cannot be one rolling row as in Jacobi,
+	// because each smoothing sweep of a row reads the same fixed prev.
+	prev, out := s.carry, s.spare
+	if gRow == nc.Start {
+		copy(prev, s.halo[sec])
 		if sec == 0 {
 			s.residual = 0
 		}
 	}
+	res := s.residual
 	work := 0.0
 	for i := 0; i < nRows; i++ {
 		gi := gRow + i
 		base := i * 2 * cols  // fine row offset (in float64 slots)
 		wsBase := base + cols // workspace row offset
-		var rowOut []float64
 		switch sec {
 		case 0, 3: // smoothing sweeps on the fine grid
-			rowOut = make([]float64, cols)
 			for sw := 0; sw < cfg.Smooths; sw++ {
+				left := f64(buf, base) // column 0 is its own left neighbour
 				for j := 0; j < cols; j++ {
 					old := f64(buf, base+j)
-					left := old
-					if j > 0 {
-						left = f64(buf, base+j-1)
-					}
 					v := 0.25*prev[j] + 0.5*old + 0.25*left
 					if sec == 3 {
 						// prolongation: add the coarse correction first
 						v += 0.5 * f64(buf, wsBase+j)
 					}
 					putF64(buf, base+j, v)
-					rowOut[j] = v
+					out[j] = v
+					left = v
 					if sec == 3 {
-						s.residual += abs(v - old)
+						res += math.Abs(v - old)
 					}
 				}
 			}
@@ -205,47 +206,42 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 				work += float64(cols) / 2
 			}
 		case 1: // restriction: residual of fine rows onto even-row workspace
-			rowOut = make([]float64, cols)
 			if gi%2 == 0 {
 				for j := 0; j < cols; j++ {
 					fine := f64(buf, base+j)
 					r := fine - prev[j]
 					putF64(buf, wsBase+j, 0.5*r)
-					rowOut[j] = 0.5 * r
+					out[j] = 0.5 * r
 				}
 				work += float64(cols) / 2
 			} else {
 				for j := 0; j < cols; j++ {
 					putF64(buf, wsBase+j, 0)
-					rowOut[j] = 0
 				}
+				clear(out)
 			}
 		case 2: // coarse smooth: workspace sweep on even rows
-			rowOut = make([]float64, cols)
 			if gi%2 == 0 {
+				left := f64(buf, wsBase)
 				for j := 0; j < cols; j++ {
 					old := f64(buf, wsBase+j)
-					left := old
-					if j > 0 {
-						left = f64(buf, wsBase+j-1)
-					}
 					v := 0.25*prev[j] + 0.5*old + 0.25*left
 					putF64(buf, wsBase+j, v)
-					rowOut[j] = v
+					out[j] = v
+					left = v
 				}
 				work += float64(cols) / 2
 			} else {
-				for j := 0; j < cols; j++ {
-					rowOut[j] = prev[j] // pass the coarse row downward
-				}
+				copy(out, prev) // pass the coarse row downward
 			}
 		}
-		prev = rowOut
+		prev, out = out, prev
 		if gi == nc.Start {
-			copy(s.firstRow, rowOut)
+			copy(s.firstRow, prev)
 		}
 	}
-	copy(s.carry, prev)
+	s.carry, s.spare = prev, out
+	s.residual = res
 	return chunkWork(work, buf)
 }
 

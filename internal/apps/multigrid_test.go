@@ -10,21 +10,27 @@ import (
 func TestMultigridMatchesReference(t *testing.T) {
 	cfg := apps.DefaultMGConfig()
 	cfg.Rows, cfg.Cols, cfg.Iterations = 128, 16, 3
-	for _, mem := range []int64{8 << 20, 4 << 10} { // in core and out of core
-		d := dist.Block(cfg.Rows, 4)
-		w := runApp(t, apps.NewMultigrid(cfg), uniformSpec(4, mem), d)
+	d := dist.Block(cfg.Rows, 4)
+	eb := cfg.Cols * 2 // float64 slots per combined row
+	checkChunking(t, ooc3, int64(eb)*8, d[0], 1)
+	// Two smooths per stage make every row's second sweep reread the
+	// same row above, which the kernel's row ping-pong must preserve.
+	for _, smooths := range []int{1, 2} {
+		cfg.Smooths = smooths
 		ref := apps.MGReference(cfg, d, cfg.Iterations)
-		eb := cfg.Cols * 2 // float64 slots per combined row
-		for p := 0; p < 4; p++ {
-			blob := w.Rank(p).Disk().Extent("U")
-			start := d.Start(p)
-			for i := 0; i < d[p]; i++ {
-				for j := 0; j < cfg.Cols; j++ {
-					got := f64At(blob, i*eb+j)
-					want := ref[start+i][j]
-					if got != want {
-						t.Fatalf("mem=%d rank %d row %d col %d: %v != %v",
-							mem, p, start+i, j, got, want)
+		for _, mem := range []int64{8 << 20, 4 << 10, ooc3} { // in core and out of core
+			w := runApp(t, apps.NewMultigrid(cfg), uniformSpec(4, mem), d)
+			for p := 0; p < 4; p++ {
+				blob := w.Rank(p).Disk().Extent("U")
+				start := d.Start(p)
+				for i := 0; i < d[p]; i++ {
+					for j := 0; j < cfg.Cols; j++ {
+						got := f64At(blob, i*eb+j)
+						want := ref[start+i][j]
+						if got != want {
+							t.Fatalf("smooths=%d mem=%d rank %d row %d col %d: %v != %v",
+								smooths, mem, p, start+i, j, got, want)
+						}
 					}
 				}
 			}

@@ -99,7 +99,7 @@ type rnaState struct {
 	// current tile (zeros for the pipeline head).
 	haloStrip []float64
 	// carryStrip is my last updated row's strip for the current tile,
-	// captured while processing and forwarded downstream.
+	// rewritten in place while processing and forwarded downstream.
 	carryStrip []float64
 	// lastCol[i] is local row i's value at the rightmost column of the
 	// previously processed tile (the T[i][j−1] dependency across strips).
@@ -127,15 +127,22 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 	case 0:
 		strip := cfg.strip()
 		colBase := tile * strip
-		// up holds the previous row's strip values (current iteration).
-		up := s.haloStrip
-		if gRow > nc.Start {
-			up = s.carryStrip
-		} else if nc.ActiveIndex() == 0 {
-			up = make([]float64, strip) // table boundary row: zeros
+		// carryStrip rolls the previous row's strip (current iteration)
+		// in place: at column j it holds row i−1's value until row i's
+		// replaces it. The builtin max is branch-free; it differs from
+		// compare-and-select only on NaN and −0, and no cell holds
+		// either (each is a score in [0, 1) plus half a cell or zero).
+		up := s.carryStrip
+		if gRow == nc.Start {
+			if nc.ActiveIndex() == 0 {
+				clear(up) // table boundary row: zeros
+			} else {
+				copy(up, s.haloStrip)
+			}
 		}
+		score := s.score
 		if gRow == nc.Start && tile == 0 {
-			s.score = 0
+			score = 0
 		}
 		for i := 0; i < nRows; i++ {
 			li := gRow - nc.Start + i
@@ -145,36 +152,23 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 			}
 			base := i * strip
 			for j := 0; j < strip; j++ {
-				upv := up[j]
-				m := upv
-				if left > m {
-					m = left
-				}
-				v := 0.5*m + rnaScore(cfg, gRow+i, colBase+j)
+				v := 0.5*max(up[j], left) + rnaScore(cfg, gRow+i, colBase+j)
 				putF64(buf, base+j, v)
+				up[j] = v
 				left = v
 			}
 			s.lastCol[li] = left
-			up = stripOf(buf, i, strip)
 			if tile == cfg.Tiles-1 {
-				s.score += left // row's final-column value
+				score += left // row's final-column value
 			}
 		}
-		copy(s.carryStrip, up)
+		s.score = score
 		return chunkWork(float64(nRows)*float64(strip), buf)
 	case 1:
 		return float64(nRows)
 	default:
 		panic("rna: unexpected section")
 	}
-}
-
-func stripOf(buf []byte, i, strip int) []float64 {
-	out := make([]float64, strip)
-	for j := range out {
-		out[j] = f64(buf, i*strip+j)
-	}
-	return out
 }
 
 func (s *rnaState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {

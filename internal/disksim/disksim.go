@@ -172,14 +172,19 @@ func (d *Disk) Create(name string, n int) {
 	d.store[name] = make([]byte, n)
 }
 
-// Store writes data into a named extent without charging any time. It is
+// Store makes data the named extent without charging any time. It is
 // used to lay out initial datasets "already on disk" before a run starts,
 // matching the paper's Local Placement rule (each node's block starts on
-// its local disk).
+// its local disk), and to flush in-core arrays after one.
+//
+// Store takes ownership of data instead of copying it: the caller must
+// not touch the slice afterwards. Every caller hands over a buffer it has
+// just built or is finished with. Read, PrefetchWait and Extent still
+// return copies, so nothing the disk hands out aliases the extent.
 func (d *Disk) Store(name string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.store[name] = append([]byte(nil), data...)
+	d.store[name] = data
 }
 
 // Extent returns a copy of the named extent, or nil if absent. Test and
@@ -249,13 +254,19 @@ func (d *Disk) serviceTime(issue vclock.Time, cost vclock.Duration) vclock.Time 
 // and the charged duration (used by the instrumentation hooks).
 func (d *Disk) Read(clk *vclock.Clock, name string, off, n int) ([]byte, vclock.Duration) {
 	data := append([]byte(nil), d.slice(name, off, n)...)
+	return data, d.readWait(clk, n)
+}
+
+// readWait charges a synchronous n-byte read against clk and returns the
+// charged duration. The caller has already checked the extent bounds.
+func (d *Disk) readWait(clk *vclock.Clock, n int) vclock.Duration {
 	cost := d.perturb(d.params.ReadCost(n))
 	done := d.serviceTime(clk.Now(), cost)
 	start := clk.Now()
 	clk.AdvanceTo(done)
 	d.Reads++
 	d.BytesRead += int64(n)
-	return data, clk.Since(start)
+	return clk.Since(start)
 }
 
 // Write synchronously writes data at off into the named extent, charging
@@ -290,7 +301,8 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	d.nextTag++
 	d.Prefetches++
 	if d.mode == ModeInstrument {
-		_, _ = d.Read(clk, name, off, n)
+		d.slice(name, off, n) // bounds check; PrefetchWait copies the data
+		d.readWait(clk, n)
 		d.pending[tag] = &pendingRead{name: name, off: off, n: n, complete: clk.Now()}
 		return tag
 	}

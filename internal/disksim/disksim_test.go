@@ -61,6 +61,28 @@ func TestStoreAndExtentRoundTrip(t *testing.T) {
 	}
 }
 
+func TestStoreTakesOwnershipButHandsOutCopies(t *testing.T) {
+	d := New(testParams(), nil)
+	data := []byte{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(10, func() { d.Store("v", data) }); n != 0 {
+		t.Fatalf("Store allocates %v times, want 0 (it takes the buffer)", n)
+	}
+	got := d.Extent("v")
+	got[0] = 99
+	if data[0] != 1 || d.Extent("v")[0] != 1 {
+		t.Fatal("Extent aliases the stored buffer")
+	}
+	clk := vclock.NewClock()
+	chunk, _ := d.Read(clk, "v", 0, 2)
+	chunk[1] = 99
+	tag := d.PrefetchIssue(clk, "v", 2, 2)
+	pf, _ := d.PrefetchWait(clk, tag)
+	pf[0] = 99
+	if !bytes.Equal(d.Extent("v"), []byte{1, 2, 3, 4}) {
+		t.Fatalf("Read or PrefetchWait alias the stored buffer: %v", d.Extent("v"))
+	}
+}
+
 func TestExtentsSorted(t *testing.T) {
 	d := New(testParams(), nil)
 	d.Create("b", 1)

@@ -423,7 +423,8 @@ func (nc *NodeCtx) loadInCore() {
 // measured region — the program's terminal output write, so post-run
 // verification sees final values whether a variable lived in or out of
 // core. The flush is untimed: it is outside the iterative phase both the
-// emulator and the model measure.
+// emulator and the model measure. Store takes each array without a copy:
+// the run is over and nothing touches InCore again.
 func (nc *NodeCtx) flushInCore() {
 	for _, v := range nc.Prog.DistributedVars() {
 		if v.ReadOnly {

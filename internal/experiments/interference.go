@@ -7,7 +7,6 @@ import (
 	"mheta/internal/cluster"
 	"mheta/internal/core"
 	"mheta/internal/dist"
-	"mheta/internal/exec"
 	"mheta/internal/instrument"
 	"mheta/internal/mpi"
 	"mheta/internal/stats"
@@ -49,17 +48,19 @@ func (r *Runner) InterferenceStudy(spec cluster.Spec, ab AppBuilder, amps []floa
 
 	var rows []InterferenceRow
 	for _, amp := range amps {
-		var diffs []float64
-		for _, pt := range dist.Spectrum(total, spec, bpe, r.steps()) {
-			w := mpi.NewWorld(spec, r.Seed^0xACDC, r.NoiseAmp)
+		em := r.emulation(spec, app)
+		em.prepare = func(w *mpi.World) {
 			for p := 0; p < w.Size(); p++ {
 				w.Rank(p).SetInterference(amp, 0.25)
 			}
-			res, err := exec.Run(w, app, pt.Dist, exec.Options{})
+		}
+		var diffs []float64
+		for _, pt := range dist.Spectrum(total, spec, bpe, r.steps()) {
+			actual, err := em.time(pt.Dist)
 			if err != nil {
 				return nil, err
 			}
-			diffs = append(diffs, stats.PercentDiff(model.Predict(pt.Dist).Total, res.Time))
+			diffs = append(diffs, stats.PercentDiff(model.Predict(pt.Dist).Total, actual))
 		}
 		s := stats.Summarize(diffs)
 		rows = append(rows, InterferenceRow{Amplitude: amp, AvgDiff: s.Avg, MaxDiff: s.Max})

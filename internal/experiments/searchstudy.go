@@ -9,9 +9,7 @@ import (
 	"mheta/internal/cluster"
 	"mheta/internal/core"
 	"mheta/internal/dist"
-	"mheta/internal/exec"
 	"mheta/internal/instrument"
-	"mheta/internal/mpi"
 	"mheta/internal/search"
 	"mheta/internal/stats"
 )
@@ -60,13 +58,9 @@ func (r *Runner) RunSearchStudy(spec cluster.Spec, ab AppBuilder) (SearchStudy, 
 	}
 
 	study := SearchStudy{Config: spec.Name, App: ab.Name}
-	actual := func(d dist.Distribution) (float64, error) {
-		w := mpi.NewWorld(spec, r.Seed^0xACDC, r.NoiseAmp)
-		res, err := exec.Run(w, app, d, exec.Options{})
-		return res.Time, err
-	}
+	em := r.emulation(spec, app)
 
-	at, err := actual(base)
+	at, err := em.time(base)
 	if err != nil {
 		return SearchStudy{}, err
 	}
@@ -80,7 +74,7 @@ func (r *Runner) RunSearchStudy(spec cluster.Spec, ab AppBuilder) (SearchStudy, 
 	}
 	for _, s := range searchers {
 		res := s.Search(ev, total)
-		at, err := actual(res.Best)
+		at, err := em.time(res.Best)
 		if err != nil {
 			return SearchStudy{}, err
 		}

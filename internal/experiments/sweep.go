@@ -202,9 +202,9 @@ func (r *Runner) Sweep(spec cluster.Spec, ab AppBuilder, fullWalk bool) (SweepRe
 	}
 
 	res := SweepResult{Config: spec.Name, App: ab.Name}
+	em := r.emulation(spec, app)
 	for _, pt := range pts {
-		w := mpi.NewWorld(spec, r.Seed^0xACDC, r.NoiseAmp)
-		run, err := exec.Run(w, app, pt.Dist, exec.Options{})
+		actual, err := em.time(pt.Dist)
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("experiments: %s/%s at %v: %w", spec.Name, ab.Name, pt.Dist, err)
 		}
@@ -214,10 +214,54 @@ func (r *Runner) Sweep(spec cluster.Spec, ab AppBuilder, fullWalk bool) (SweepRe
 			Leg:       pt.Leg,
 			T:         pt.T,
 			Dist:      pt.Dist,
-			Actual:    run.Time,
+			Actual:    actual,
 			Predicted: pred.Total,
-			Diff:      stats.PercentDiff(pred.Total, run.Time),
+			Diff:      stats.PercentDiff(pred.Total, actual),
 		})
 	}
 	return res, nil
+}
+
+// emulation runs one application on fresh, identically seeded worlds of
+// one cluster, so an emulated time is a pure function of the
+// distribution. It remembers the distributions it has run for the life
+// of one experiment call: a spectrum that revisits a distribution (a
+// collapsed leg, an anchor two walks share) emulates it once.
+type emulation struct {
+	spec  cluster.Spec
+	app   *exec.App
+	seed  uint64
+	noise float64
+	// prepare, when non-nil, adjusts each fresh world before its run.
+	prepare func(*mpi.World)
+	// dists[i] ran in times[i] seconds. A call emulates a few dozen
+	// distributions at most, so the lookup is a linear scan.
+	dists []dist.Distribution
+	times []float64
+}
+
+// emulation starts the runner's emulations of app on spec.
+func (r *Runner) emulation(spec cluster.Spec, app *exec.App) *emulation {
+	return &emulation{spec: spec, app: app, seed: r.Seed ^ 0xACDC, noise: r.NoiseAmp}
+}
+
+// time returns d's emulated execution time, running d only if this
+// emulation has not run it before.
+func (e *emulation) time(d dist.Distribution) (float64, error) {
+	for i, seen := range e.dists {
+		if seen.Equal(d) {
+			return e.times[i], nil
+		}
+	}
+	w := mpi.NewWorld(e.spec, e.seed, e.noise)
+	if e.prepare != nil {
+		e.prepare(w)
+	}
+	run, err := exec.Run(w, e.app, d, exec.Options{})
+	if err != nil {
+		return 0, err
+	}
+	e.dists = append(e.dists, d)
+	e.times = append(e.times, run.Time)
+	return run.Time, nil
 }
