@@ -78,6 +78,10 @@ func (p *serveProc) stop(t *testing.T) {
 	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the stderr pipe, so it must not run before the reader
+	// goroutine has copied the last line; it closes lines when it has.
+	for range p.lines {
+	}
 	if err := p.cmd.Wait(); err != nil {
 		t.Fatalf("mheta-serve exit: %v\n%s", err, p.stderr)
 	}

@@ -110,6 +110,30 @@ func TestSearch(t *testing.T) {
 	}
 }
 
+// TestSearchWorkerInvariance pins the determinism contract at the CLI:
+// every algorithm's stdout is byte-identical whether candidates are
+// scored on one worker or fanned out over three.
+func TestSearchWorkerInvariance(t *testing.T) {
+	for _, c := range []struct{ app, config string }{{"jacobi", "HY1"}, {"rna", "HY2"}} {
+		var outs [2][]byte
+		for i, workers := range []string{"1", "3"} {
+			cmd := exec.Command(filepath.Join(binDir, "mheta-search"), "-app", c.app, "-config", c.config,
+				"-scale", "test", "-alg", "all", "-parallel", workers)
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s/%s -parallel %s: %v", c.app, c.config, workers, err)
+			}
+			outs[i] = out
+		}
+		if !strings.Contains(string(outs[0]), "random") {
+			t.Fatalf("%s/%s: -alg all output lacks the random row:\n%s", c.app, c.config, outs[0])
+		}
+		if string(outs[0]) != string(outs[1]) {
+			t.Errorf("%s/%s: stdout differs between -parallel 1 and 3:\n%s\n---\n%s", c.app, c.config, outs[0], outs[1])
+		}
+	}
+}
+
 // writeBadModule lays out a throwaway module containing three deliberate
 // violations — a //lint:deterministic file calling time.Now, a
 // //mheta:guardedby field read without its lock, and a leaked ticker

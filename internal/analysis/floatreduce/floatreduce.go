@@ -25,7 +25,7 @@ var Analyzer = &lintkit.Analyzer{
 	Doc: "flag float reductions that merge channel-delivered worker results in completion order\n\n" +
 		"Accumulating floats (or appending results) while receiving from a channel makes the\n" +
 		"merge order depend on goroutine scheduling; write results to an indexed slot and\n" +
-		"reduce in index order instead (see search.Pool.EvaluateBatchInto).",
+		"reduce in index order instead (see search.Pool.EvaluateBatchFromInto).",
 	Run: run,
 }
 

@@ -255,249 +255,16 @@ func (m *Model) reduceTree(sn *secNet, allreduce bool) {
 	}
 }
 
-// nn8 advances an eight-rank, all-active clock vector through one
-// nearest-neighbour exchange, with each rank's busy term folded into its
-// send base. It is the register-resident form of nearestNeighbor's fused
-// fast path for the paper's eight-node clusters: pass-1 values (send-to-
-// left/right completions) are named locals, so the receive recurrences
-// read registers instead of replaying scratch arrays. Every expression
-// and its association order match the fused loop exactly — results are
-// bit-identical.
-//
-//mheta:units seconds clock
-//mheta:units seconds busy
-func nn8(clock, busy []float64, sn *secNet) {
-	os := sn.msgSend   //mheta:units seconds
-	or := sn.msgRecv   //mheta:units seconds
-	wire := sn.msgWire //mheta:units seconds
-	_, _ = clock[7], busy[7]
-	// Pass 1: send-to-left (sdl) and send-to-right (sdr) completions.
-	sdr0 := clock[0] + busy[0] + os // rank 0 has no left: first send is right
-	sdl1 := clock[1] + busy[1] + os
-	sdl2 := clock[2] + busy[2] + os
-	sdl3 := clock[3] + busy[3] + os
-	sdl4 := clock[4] + busy[4] + os
-	sdl5 := clock[5] + busy[5] + os
-	sdl6 := clock[6] + busy[6] + os
-	sdl7 := clock[7] + busy[7] + os // rank 7 has no right: sdl is its last send
-	sdr1 := sdl1 + os
-	sdr2 := sdl2 + os
-	sdr3 := sdl3 + os
-	sdr4 := sdl4 + os
-	sdr5 := sdl5 + os
-	sdr6 := sdl6 + os
-	// Pass 2: receives — left neighbour's send-to-right, then right
-	// neighbour's send-to-left, each max'd against own progress (Eq 3).
-	t := sdr0
-	if a := sdl1 + wire; a > t {
-		t = a
-	}
-	clock[0] = t + or
-	t = sdr1
-	if a := sdr0 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl2 + wire; a > t {
-		t = a
-	}
-	clock[1] = t + or
-	t = sdr2
-	if a := sdr1 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl3 + wire; a > t {
-		t = a
-	}
-	clock[2] = t + or
-	t = sdr3
-	if a := sdr2 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl4 + wire; a > t {
-		t = a
-	}
-	clock[3] = t + or
-	t = sdr4
-	if a := sdr3 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl5 + wire; a > t {
-		t = a
-	}
-	clock[4] = t + or
-	t = sdr5
-	if a := sdr4 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl6 + wire; a > t {
-		t = a
-	}
-	clock[5] = t + or
-	t = sdr6
-	if a := sdr5 + wire; a > t {
-		t = a
-	}
-	t += or
-	if a := sdl7 + wire; a > t {
-		t = a
-	}
-	clock[6] = t + or
-	t = sdl7
-	if a := sdr6 + wire; a > t {
-		t = a
-	}
-	clock[7] = t + or
-}
-
-// allreduce8 advances an eight-rank clock vector through the binomial
-// all-reduce that compileTreeEdges(8) compiles — reduce edges
-// (1→0)(3→2)(5→4)(7→6)(2→0)(6→4)(4→0), then broadcast edges
-// (0→4)(0→2)(0→1)(2→3)(4→6)(4→5)(6→7) — with each rank's busy term added
-// as it enters the reduction (the CommReduction prologue). Eight ranks is
-// the cluster size of every system in the paper, so the chaining hot loop
-// earns a kernel whose clocks live in registers instead of round-tripping
-// through clock[] per edge. The edge sequence and every floating-point
-// expression match the generic replay exactly, so results are
-// bit-identical. The returned value is the post-reduction clock maximum,
-// computed rank-ascending with the same strict-greater compare as
-// chain's makespan loop — when the reduction ends the iteration, chain
-// uses it instead of re-reading the clocks.
-//
-//mheta:units seconds clock
-//mheta:units seconds busy
-//mheta:units seconds return
-func allreduce8(clock, busy []float64, sn *secNet) float64 {
-	os := sn.redSend   //mheta:units seconds
-	or := sn.redRecv   //mheta:units seconds
-	wire := sn.redWire //mheta:units seconds
-	_, _ = clock[7], busy[7]
-	c0 := clock[0] + busy[0]
-	c1 := clock[1] + busy[1]
-	c2 := clock[2] + busy[2]
-	c3 := clock[3] + busy[3]
-	c4 := clock[4] + busy[4]
-	c5 := clock[5] + busy[5]
-	c6 := clock[6] + busy[6]
-	c7 := clock[7] + busy[7]
-	// Reduce, level 1.
-	c1 += os
-	if a := c1 + wire; a > c0 {
-		c0 = a
-	}
-	c0 += or
-	c3 += os
-	if a := c3 + wire; a > c2 {
-		c2 = a
-	}
-	c2 += or
-	c5 += os
-	if a := c5 + wire; a > c4 {
-		c4 = a
-	}
-	c4 += or
-	c7 += os
-	if a := c7 + wire; a > c6 {
-		c6 = a
-	}
-	c6 += or
-	// Reduce, level 2.
-	c2 += os
-	if a := c2 + wire; a > c0 {
-		c0 = a
-	}
-	c0 += or
-	c6 += os
-	if a := c6 + wire; a > c4 {
-		c4 = a
-	}
-	c4 += or
-	// Reduce, level 3.
-	c4 += os
-	if a := c4 + wire; a > c0 {
-		c0 = a
-	}
-	c0 += or
-	// Broadcast.
-	c0 += os
-	if a := c0 + wire; a > c4 {
-		c4 = a
-	}
-	c4 += or
-	c0 += os
-	if a := c0 + wire; a > c2 {
-		c2 = a
-	}
-	c2 += or
-	c0 += os
-	if a := c0 + wire; a > c1 {
-		c1 = a
-	}
-	c1 += or
-	c2 += os
-	if a := c2 + wire; a > c3 {
-		c3 = a
-	}
-	c3 += or
-	c4 += os
-	if a := c4 + wire; a > c6 {
-		c6 = a
-	}
-	c6 += or
-	c4 += os
-	if a := c4 + wire; a > c5 {
-		c5 = a
-	}
-	c5 += or
-	c6 += os
-	if a := c6 + wire; a > c7 {
-		c7 = a
-	}
-	c7 += or
-	clock[0], clock[1], clock[2], clock[3] = c0, c1, c2, c3
-	clock[4], clock[5], clock[6], clock[7] = c4, c5, c6, c7
-	mk := 0.0
-	if c0 > mk {
-		mk = c0
-	}
-	if c1 > mk {
-		mk = c1
-	}
-	if c2 > mk {
-		mk = c2
-	}
-	if c3 > mk {
-		mk = c3
-	}
-	if c4 > mk {
-		mk = c4
-	}
-	if c5 > mk {
-		mk = c5
-	}
-	if c6 > mk {
-		mk = c6
-	}
-	if c7 > mk {
-		mk = c7
-	}
-	return mk
-}
-
 // jacobi8 runs two model iterations of the paper's two-section iterative
 // shape — nearest-neighbour exchange then binomial all-reduce — over
 // eight all-active ranks, keeping the clock vector in registers from the
 // zeroed start through both iterations. It returns the first-iteration
 // makespan t1 and the two-iteration cumulative makespan t2, the inputs of
 // the delta evaluator's steady-state extrapolation. Every floating-point
-// expression matches the nn8/allreduce8 sequence chain() would run — the
-// fusion removes only the clock[] stores, reloads and zeroing between
-// sections and iterations, never arithmetic — so results are
-// bit-identical (DESIGN.md §5.12).
+// expression matches the nearestNeighbor (all-active fused path) and
+// reduceTree sequence chain() would run — the fusion removes only the
+// clock[] stores, reloads and zeroing between sections and iterations,
+// never arithmetic — so results are bit-identical (DESIGN.md §5.12).
 //
 //mheta:units seconds busy0
 //mheta:units seconds busy1
@@ -510,8 +277,14 @@ func jacobi8(busy0, busy1 []float64, sn0, sn1 *secNet) (float64, float64) {
 
 // jacobi8Iter advances the register-resident clocks c0..c7 through one
 // [nearest-neighbour, all-reduce] iteration and returns the new clocks
-// plus the post-reduction makespan. Bodies are nn8 and allreduce8 with
-// the clock array replaced by the parameter registers.
+// plus the post-reduction makespan. The bodies are nearestNeighbor's
+// all-active fused loop unrolled over eight ranks (each rank's busy term
+// folded into its send base; send-to-left/right completions named
+// locals) and the reduceTree replay of compileTreeEdges(8) — reduce edges
+// (1→0)(3→2)(5→4)(7→6)(2→0)(6→4)(4→0), then broadcast edges
+// (0→4)(0→2)(0→1)(2→3)(4→6)(4→5)(6→7) — with the clock array replaced by
+// the parameter registers. The makespan is taken rank-ascending with the
+// same strict-greater compare as chain's.
 //
 //mheta:units seconds c0
 //mheta:units seconds c1
@@ -529,7 +302,7 @@ func jacobi8Iter(c0, c1, c2, c3, c4, c5, c6, c7 float64, busy0, busy1 []float64,
 	or := sn0.msgRecv   //mheta:units seconds
 	wire := sn0.msgWire //mheta:units seconds
 	_, _ = busy0[7], busy1[7]
-	// Nearest-neighbour section (nn8): pass-1 send completions…
+	// Nearest-neighbour section: pass-1 send completions…
 	sdr0 := c0 + busy0[0] + os
 	sdl1 := c1 + busy0[1] + os
 	sdl2 := c2 + busy0[2] + os
@@ -609,7 +382,7 @@ func jacobi8Iter(c0, c1, c2, c3, c4, c5, c6, c7 float64, busy0, busy1 []float64,
 		t = a
 	}
 	c7 = t + or
-	// All-reduce section (allreduce8): busy prologue, reduce, broadcast.
+	// All-reduce section: busy prologue, reduce, broadcast.
 	os = sn1.redSend
 	or = sn1.redRecv
 	wire = sn1.redWire

@@ -408,14 +408,7 @@ func (m *Model) chain(busy2D [][]float64, d []int, sectionTimes *[][]float64) fl
 	n := m.p.Nodes
 	clock := m.clock[:n] // reslice so the per-node loops bounds-check once
 	sections := m.p.Sections
-	// haveMk is set when the final section's kernel already computed the
-	// clock maximum (allreduce8 keeps the clocks in registers, so its max
-	// is free); the fallback loop below reads identical values in the
-	// identical rank order, so either source is the same float.
-	haveMk := false
-	var mk float64
 	for si := range sections {
-		haveMk = false
 		s := &sections[si]
 		busy := busy2D[si][:n]
 		sn := &m.secNet[si]
@@ -425,23 +418,14 @@ func (m *Model) chain(busy2D [][]float64, d []int, sectionTimes *[][]float64) fl
 				clock[p] += busy[p]
 			}
 		case program.CommNearestNeighbor:
-			if n == 8 && len(m.active) == 8 {
-				nn8(clock, busy, sn) // register-resident; bit-equal
-			} else {
-				m.nearestNeighbor(sn, busy, d)
-			}
+			m.nearestNeighbor(sn, busy, d)
 		case program.CommPipeline:
 			m.pipeline(sn, s.Tiles, busy, d)
 		case program.CommReduction:
-			if n == 8 {
-				mk = allreduce8(clock, busy, sn) // register-resident; bit-equal
-				haveMk = true
-			} else {
-				for p := 0; p < n; p++ {
-					clock[p] += busy[p]
-				}
-				m.reduceTree(sn, true)
+			for p := 0; p < n; p++ {
+				clock[p] += busy[p]
 			}
+			m.reduceTree(sn, true)
 		default:
 			panic(fmt.Sprintf("core: unsupported comm pattern %v", s.Comm))
 		}
@@ -451,10 +435,7 @@ func (m *Model) chain(busy2D [][]float64, d []int, sectionTimes *[][]float64) fl
 			*sectionTimes = append(*sectionTimes, row)
 		}
 	}
-	if haveMk {
-		return mk
-	}
-	mk = 0.0
+	mk := 0.0
 	for p := 0; p < n; p++ {
 		if clock[p] > mk {
 			mk = clock[p]

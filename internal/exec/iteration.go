@@ -146,12 +146,10 @@ func (nc *NodeCtx) runStage(si, sti, tile int, s *program.Section) {
 			buf := nc.inCoreTile(v, s.Tiles, tile)
 			work := nc.state.Process(nc, si, sti, tile, nc.Start, nc.Count, buf)
 			nc.compute(work)
-		} else if st.Prefetch && nc.mode != ModeInstrument {
-			nc.runChunksPrefetch(si, sti, tile, s, st, v, layout)
 		} else if st.Prefetch {
-			nc.runChunksPrefetchInstrumented(si, sti, tile, s, st, v, layout)
+			nc.runChunksPrefetch(si, sti, tile, s, v, layout)
 		} else {
-			nc.runChunksSync(si, sti, tile, s, st, v, layout)
+			nc.runChunksSync(si, sti, tile, s, v, layout)
 		}
 	}
 
@@ -186,10 +184,11 @@ func (nc *NodeCtx) inCoreTile(v *program.Variable, tiles, k int) []byte {
 	return buf[int64(k)*tileBytes : int64(k+1)*tileBytes]
 }
 
-// chunkGeom computes the stage's chunking for tile k.
+// chunkGeom is the stage's chunking for one tile.
 type chunkGeom struct {
 	stream     memsim.Stream
 	tileOffset int64 // byte offset of tile k's strip block on disk
+	count      int   // the node's row count
 }
 
 func (nc *NodeCtx) chunkGeom(v *program.Variable, tiles, k int, layout memsim.Layout) chunkGeom {
@@ -197,26 +196,30 @@ func (nc *NodeCtx) chunkGeom(v *program.Variable, tiles, k int, layout memsim.La
 	return chunkGeom{
 		stream:     stream,
 		tileOffset: int64(k) * stream.StripBytes * int64(nc.Count),
+		count:      nc.Count,
 	}
+}
+
+// chunk returns chunk c's first row, row count, and disk byte offset and
+// length.
+func (g chunkGeom) chunk(c int) (rowStart, rows int, off, bytes int) {
+	rowStart = c * g.stream.ChunkElems
+	rows = min(g.stream.ChunkElems, g.count-rowStart)
+	off = int(g.tileOffset + int64(rowStart)*g.stream.StripBytes)
+	return rowStart, rows, off, int(int64(rows) * g.stream.StripBytes)
 }
 
 // runChunksSync is the original ICLA loop (Figure 6 left): read a chunk,
 // process it, write it back.
-func (nc *NodeCtx) runChunksSync(si, sti, tile int, s *program.Section, st *program.Stage, v *program.Variable, layout memsim.Layout) {
+func (nc *NodeCtx) runChunksSync(si, sti, tile int, s *program.Section, v *program.Variable, layout memsim.Layout) {
 	g := nc.chunkGeom(v, s.Tiles, tile, layout)
 	for c := 0; c < g.stream.ChunksPerTile; c++ {
-		rowStart := c * g.stream.ChunkElems
-		rows := g.stream.ChunkElems
-		if rowStart+rows > nc.Count {
-			rows = nc.Count - rowStart
-		}
-		off := g.tileOffset + int64(rowStart)*g.stream.StripBytes
-		bytes := int(int64(rows) * g.stream.StripBytes)
-		buf := nc.R.FileRead(v.Name, int(off), bytes)
+		rowStart, rows, off, bytes := g.chunk(c)
+		buf := nc.R.FileRead(v.Name, off, bytes)
 		work := nc.state.Process(nc, si, sti, tile, nc.Start+rowStart, rows, buf)
 		nc.compute(work)
 		if !v.ReadOnly {
-			nc.R.FileWrite(v.Name, int(off), buf)
+			nc.R.FileWrite(v.Name, off, buf)
 		}
 	}
 }
@@ -224,75 +227,34 @@ func (nc *NodeCtx) runChunksSync(si, sti, tile int, s *program.Section, st *prog
 // runChunksPrefetch is the unrolled loop of Figure 6 right: prefetch
 // chunk c while processing chunk c−1, then wait and write back. The
 // overlap between the in-flight read and the computation is what
-// Equation 2's effective latency models.
-func (nc *NodeCtx) runChunksPrefetch(si, sti, tile int, s *program.Section, st *program.Stage, v *program.Variable, layout memsim.Layout) {
-	g := nc.chunkGeom(v, s.Tiles, tile, layout)
-	nChunks := g.stream.ChunksPerTile
-	chunk := func(c int) (off int64, rows int) {
-		rowStart := c * g.stream.ChunkElems
-		rows = g.stream.ChunkElems
-		if rowStart+rows > nc.Count {
-			rows = nc.Count - rowStart
-		}
-		return g.tileOffset + int64(rowStart)*g.stream.StripBytes, rows
-	}
-	off0, rows0 := chunk(0)
-	prev := nc.R.FileRead(v.Name, int(off0), int(int64(rows0)*g.stream.StripBytes))
-	prevOff, prevRows, prevRowStart := off0, rows0, 0
-	for c := 1; c < nChunks; c++ {
-		off, rows := chunk(c)
-		tag := nc.R.FilePrefetchIssue(v.Name, int(off), int(int64(rows)*g.stream.StripBytes))
-		work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-		nc.compute(work)
-		cur := nc.R.FilePrefetchWait(v.Name, tag)
-		if !v.ReadOnly {
-			nc.R.FileWrite(v.Name, int(prevOff), prev)
-		}
-		prev, prevOff, prevRows, prevRowStart = cur, off, rows, c*g.stream.ChunkElems
-	}
-	work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-	nc.compute(work)
-	if !v.ReadOnly {
-		nc.R.FileWrite(v.Name, int(prevOff), prev)
-	}
-}
-
-// runChunksPrefetchInstrumented runs the same unrolled loop under the
-// Figure 5 transform (issues block, waits are no-ops — the disk is already
-// in ModeInstrument) and measures the overlap computation Tov between each
+// Equation 2's effective latency models. Under instrumentation (nc.rec
+// set) the disk is in its Figure 5 mode — issues block, waits are no-ops
+// — and the loop also measures the overlap computation Tov between each
 // issue's return and the corresponding wait, attributing it per element.
-func (nc *NodeCtx) runChunksPrefetchInstrumented(si, sti, tile int, s *program.Section, st *program.Stage, v *program.Variable, layout memsim.Layout) {
+// Reading the clock does not advance it, so both modes run the same ops.
+func (nc *NodeCtx) runChunksPrefetch(si, sti, tile int, s *program.Section, v *program.Variable, layout memsim.Layout) {
 	g := nc.chunkGeom(v, s.Tiles, tile, layout)
-	nChunks := g.stream.ChunksPerTile
-	chunk := func(c int) (off int64, rows int) {
-		rowStart := c * g.stream.ChunkElems
-		rows = g.stream.ChunkElems
-		if rowStart+rows > nc.Count {
-			rows = nc.Count - rowStart
-		}
-		return g.tileOffset + int64(rowStart)*g.stream.StripBytes, rows
-	}
-	off0, rows0 := chunk(0)
-	prev := nc.R.FileRead(v.Name, int(off0), int(int64(rows0)*g.stream.StripBytes))
-	prevOff, prevRows, prevRowStart := off0, rows0, 0
-	for c := 1; c < nChunks; c++ {
-		off, rows := chunk(c)
-		tag := nc.R.FilePrefetchIssue(v.Name, int(off), int(int64(rows)*g.stream.StripBytes))
+	prevRowStart, prevRows, prevOff, bytes := g.chunk(0)
+	prev := nc.R.FileRead(v.Name, prevOff, bytes)
+	for c := 1; c < g.stream.ChunksPerTile; c++ {
+		rowStart, rows, off, bytes := g.chunk(c)
+		tag := nc.R.FilePrefetchIssue(v.Name, off, bytes)
 		t0 := nc.R.Now()
 		work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 		nc.compute(work)
-		tov := nc.R.Clock().Since(t0)
-		nc.rec.RecordOverlap(si, tile, sti, v.Name, tov, prevRows)
+		if nc.rec != nil {
+			nc.rec.RecordOverlap(si, tile, sti, v.Name, nc.R.Clock().Since(t0), prevRows)
+		}
 		cur := nc.R.FilePrefetchWait(v.Name, tag)
 		if !v.ReadOnly {
-			nc.R.FileWrite(v.Name, int(prevOff), prev)
+			nc.R.FileWrite(v.Name, prevOff, prev)
 		}
-		prev, prevOff, prevRows, prevRowStart = cur, off, rows, c*g.stream.ChunkElems
+		prev, prevOff, prevRows, prevRowStart = cur, off, rows, rowStart
 	}
 	work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 	nc.compute(work)
 	if !v.ReadOnly {
-		nc.R.FileWrite(v.Name, int(prevOff), prev)
+		nc.R.FileWrite(v.Name, prevOff, prev)
 	}
 }
 

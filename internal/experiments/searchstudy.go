@@ -48,11 +48,12 @@ func (r *Runner) RunSearchStudy(spec cluster.Spec, ab AppBuilder) (SearchStudy, 
 	if err != nil {
 		return SearchStudy{}, err
 	}
-	var ev search.Evaluator = search.ModelEvaluator{Model: model}
+	me := search.ModelEvaluator{Model: model}
+	var ev search.Evaluator = me
 	if w := r.workers(); w > 1 {
 		// Candidate evaluations fan out over per-worker model clones;
 		// search results are bit-identical to the serial path.
-		pool := search.NewPool(ev, w)
+		pool := search.NewPool(me, w, me.CloneEvaluator)
 		pool.Observe(r.Obs)
 		ev = pool
 	}

@@ -20,16 +20,11 @@ import (
 // canceled is the private panic sentinel carrying the context error.
 type canceled struct{ err error }
 
-// ctxEvaluator checks the context once per evaluation call (one check per
-// batch — cheap against a model evaluation) and forwards to the inner
-// evaluator, preserving its batch/base capabilities so pools and memos
-// downstream keep their fast paths.
+// ctxEvaluator checks the context once per batch (cheap against a model
+// evaluation) and forwards to the inner evaluator.
 type ctxEvaluator struct {
-	ctx    context.Context
-	single Evaluator
-	batch  BatchEvaluator     // non-nil when single supports batching
-	baseE  BaseEvaluator      // non-nil when single is base-aware
-	baseB  BaseBatchEvaluator // non-nil when single supports base-aware batching
+	ctx context.Context
+	ev  Evaluator
 }
 
 // WithContext wraps ev so every evaluation first checks ctx; after ctx is
@@ -37,63 +32,16 @@ type ctxEvaluator struct {
 // Use SearchContext rather than calling a searcher with the wrapped
 // evaluator directly.
 func WithContext(ctx context.Context, ev Evaluator) Evaluator {
-	c := &ctxEvaluator{ctx: ctx, single: ev}
-	if be, ok := ev.(BatchEvaluator); ok {
-		c.batch = be
-	}
-	if be, ok := ev.(BaseEvaluator); ok {
-		c.baseE = be
-	}
-	if bb, ok := ev.(BaseBatchEvaluator); ok {
-		c.baseB = bb
-	}
-	return c
+	return &ctxEvaluator{ctx: ctx, ev: ev}
 }
 
-// check panics with the cancellation sentinel once the context is done.
-func (c *ctxEvaluator) check() {
+// EvaluateBatchFromInto implements Evaluator, panicking with the
+// cancellation sentinel once the context is done.
+func (c *ctxEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if err := c.ctx.Err(); err != nil {
 		panic(canceled{err})
 	}
-}
-
-// Evaluate implements Evaluator.
-func (c *ctxEvaluator) Evaluate(d dist.Distribution) float64 {
-	c.check()
-	return c.single.Evaluate(d)
-}
-
-// EvaluateFrom implements BaseEvaluator.
-func (c *ctxEvaluator) EvaluateFrom(base, d dist.Distribution) float64 {
-	c.check()
-	if c.baseE != nil {
-		return c.baseE.EvaluateFrom(base, d)
-	}
-	return c.single.Evaluate(d)
-}
-
-// EvaluateBatchInto implements BatchEvaluator.
-func (c *ctxEvaluator) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
-	c.check()
-	if c.batch != nil {
-		c.batch.EvaluateBatchInto(out, ds)
-		return
-	}
-	evalStride(c.single, out, ds, 0, 1)
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator.
-func (c *ctxEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
-	c.check()
-	if c.baseB != nil {
-		c.baseB.EvaluateBatchFromInto(out, base, ds)
-		return
-	}
-	if c.batch != nil {
-		c.batch.EvaluateBatchInto(out, ds)
-		return
-	}
-	evalStrideFrom(c.single, out, base, ds, 0, 1)
+	c.ev.EvaluateBatchFromInto(out, base, ds)
 }
 
 // SearchContext runs s over ev honoring ctx: the search aborts at the

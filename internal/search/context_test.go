@@ -13,7 +13,7 @@ import (
 // slopeEvaluator is a cheap deterministic scoring function over
 // distributions (imbalance against a fixed optimum), so searches make
 // real progress without a model.
-func slopeEvaluator() Evaluator {
+func slopeEvaluator() EvaluatorFunc {
 	return EvaluatorFunc(func(d dist.Distribution) float64 {
 		t := 1.0
 		for i, b := range d {
@@ -70,7 +70,7 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 			if n.Add(1) == 8 {
 				cancel()
 			}
-			return inner.Evaluate(d)
+			return inner(d)
 		})
 		_, err := SearchContext(ctx, s, ev, total)
 		if !errors.Is(err, context.Canceled) {

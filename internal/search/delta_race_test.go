@@ -22,7 +22,7 @@ func TestDeltaConcurrentSharedMemo(t *testing.T) {
 	model := core.MustModel(poolTestParams(8))
 	dme := NewDeltaModelEvaluator(model)
 	dme.Observe(obs.New())
-	pool := NewPool(dme, 4)
+	pool := NewPool(dme, 4, dme.CloneEvaluator)
 	memo := NewMemo(pool)
 
 	// Overlapping candidate set: block-ish distributions of 400 elements
@@ -43,7 +43,7 @@ func TestDeltaConcurrentSharedMemo(t *testing.T) {
 	ref := ModelEvaluator{Model: core.MustModel(poolTestParams(8))}
 	want := make([]float64, len(cands))
 	for i, d := range cands {
-		want[i] = ref.Evaluate(d)
+		want[i] = ref.Model.PredictTotal(d)
 	}
 
 	const goroutines = 6

@@ -15,38 +15,42 @@ type ModelEvaluator struct {
 	Model *core.Model
 }
 
-// Evaluate implements Evaluator.
-func (m ModelEvaluator) Evaluate(d dist.Distribution) float64 {
-	return m.Model.PredictTotal(d)
+// EvaluateBatchFromInto implements Evaluator; the base is ignored (every
+// candidate is a full evaluation).
+func (m ModelEvaluator) EvaluateBatchFromInto(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	for i, d := range ds {
+		out[i] = m.Model.PredictTotal(d)
+	}
 }
 
-// CloneEvaluator implements CloneableEvaluator: a Model reuses scratch
-// across Predict calls and is not safe for concurrent use, so a Pool
-// clones one per worker. Clones share the immutable parameters and
-// produce bit-identical predictions.
+// CloneEvaluator returns an evaluator over a clone of the model: a Model
+// reuses scratch across Predict calls and is not safe for concurrent use,
+// so NewPool takes this method as its clone function to give each worker
+// its own. Clones share the immutable parameters and produce
+// bit-identical predictions.
 func (m ModelEvaluator) CloneEvaluator() Evaluator {
 	return ModelEvaluator{Model: m.Model.Clone()}
 }
 
 // DeltaModelEvaluator adapts a model's incremental evaluator
-// (core.DeltaEvaluator) to the search interfaces. Scores are bit-identical
-// to ModelEvaluator — the delta cache affects only speed — so swapping it
-// in changes no search outcome, only the candidates/second rate. It is a
-// BaseEvaluator/BaseBatchEvaluator: searchers name each batch's ancestor,
-// which primes the cache rows the batch's candidates share with it, so a
-// batch's first candidates find their terms already filled.
+// (core.DeltaEvaluator) to the Evaluator interface. Scores are
+// bit-identical to ModelEvaluator — the delta cache affects only speed —
+// so swapping it in changes no search outcome, only the candidates/second
+// rate. Searchers name each batch's ancestor, which primes the cache rows
+// the batch's candidates share with it, so a batch's first candidates
+// find their terms already filled.
 //
 // Like the Model it wraps, a DeltaModelEvaluator is single-goroutine;
-// CloneEvaluator gives each pool worker its own model clone, which shares
-// the master's busy-term table (core.Model.Clone), while the
-// observability counters stay shared so the registry sees whole-search
-// totals.
+// CloneEvaluator, passed to NewPool, gives each worker its own model
+// clone, which shares the master's busy-term table (core.Model.Clone),
+// while the observability counters stay shared so the registry sees
+// whole-search totals.
 type DeltaModelEvaluator struct {
 	de *core.DeltaEvaluator
 	// lastBase is a private copy of the base most recently warmed,
-	// deduplicating consecutive EvaluateFrom calls against the same
-	// ancestor with a plain element compare (cheaper than hashing for the
-	// short distributions searches use, and exact).
+	// deduplicating consecutive batches against the same ancestor with a
+	// plain element compare (cheaper than hashing for the short
+	// distributions searches use, and exact).
 	lastBase dist.Distribution
 	haveBase bool
 	// Delta-path observability (nil when unobserved; see Observe). Shared
@@ -81,7 +85,8 @@ func (e *DeltaModelEvaluator) Model() *core.Model { return e.de.Model() }
 // Stats returns the underlying cache counters.
 func (e *DeltaModelEvaluator) Stats() core.DeltaStats { return e.de.Stats() }
 
-// Evaluate implements Evaluator.
+// Evaluate scores one candidate with no ancestry (the bench module's
+// direct-call path).
 func (e *DeltaModelEvaluator) Evaluate(d dist.Distribution) float64 {
 	v, usedDelta := e.de.Evaluate(d)
 	if usedDelta {
@@ -92,36 +97,16 @@ func (e *DeltaModelEvaluator) Evaluate(d dist.Distribution) float64 {
 	return v
 }
 
-// EvaluateFrom implements BaseEvaluator. The base primes the cache; the
-// returned score is exactly Evaluate(d).
-func (e *DeltaModelEvaluator) EvaluateFrom(base, d dist.Distribution) float64 {
-	e.warm(base)
-	return e.Evaluate(d)
-}
-
-// EvaluateBatchInto implements BatchEvaluator (serially — concurrency is
-// the Pool's job). The delta-path counters are flushed once per batch
-// rather than per candidate.
-func (e *DeltaModelEvaluator) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
-	if len(out) != len(ds) {
-		panic("search: batch output length mismatch")
-	}
-	e.evalBatch(out, ds)
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator.
+// EvaluateBatchFromInto implements Evaluator serially (concurrency is the
+// Pool's job): the base primes the cache, then every candidate is scored
+// exactly as a nil base would score it. The delta-path counters are
+// accumulated locally and flushed once per batch rather than per
+// candidate.
 func (e *DeltaModelEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if len(out) != len(ds) {
 		panic("search: batch output length mismatch")
 	}
 	e.warm(base)
-	e.evalBatch(out, ds)
-}
-
-// evalBatch scores ds serially, accumulating the hit/full counts locally
-// so the shared atomic counters are touched once per batch instead of
-// once per candidate.
-func (e *DeltaModelEvaluator) evalBatch(out []float64, ds []dist.Distribution) {
 	hit, full := 0, 0
 	for i, d := range ds {
 		v, usedDelta := e.de.Evaluate(d)
@@ -154,7 +139,7 @@ func (e *DeltaModelEvaluator) warm(base dist.Distribution) {
 	e.de.Warm(base)
 }
 
-// CloneEvaluator implements CloneableEvaluator: each clone wraps its own
+// CloneEvaluator is NewPool's clone function: each clone wraps its own
 // model clone — own replay columns and stats, the master's shared
 // busy-term table, bit-identical scores — and shares the atomic
 // observability counters.

@@ -24,9 +24,7 @@ import (
 // contract for the guarded analyzer to enforce — single ownership, not
 // synchronisation, is the safety argument here.
 type lightMemo struct {
-	single Evaluator
-	batch  BatchEvaluator     // non-nil when single supports batching
-	baseB  BaseBatchEvaluator // non-nil when single supports base-aware batching
+	ev Evaluator
 
 	// Open-addressing table: keys[i] == 0 means empty. A genuine zero
 	// hash (possible, if vanishingly rare) is carried out of band in
@@ -58,18 +56,11 @@ type lightMemo struct {
 const lightMemoMinSize = 64
 
 func newLightMemo(ev Evaluator) *lightMemo {
-	m := &lightMemo{
-		single: ev,
-		keys:   make([]uint64, lightMemoMinSize),
-		vals:   make([]float64, lightMemoMinSize),
+	return &lightMemo{
+		ev:   ev,
+		keys: make([]uint64, lightMemoMinSize),
+		vals: make([]float64, lightMemoMinSize),
 	}
-	if be, ok := ev.(BatchEvaluator); ok {
-		m.batch = be
-	}
-	if bb, ok := ev.(BaseBatchEvaluator); ok {
-		m.baseB = bb
-	}
-	return m
 }
 
 // Observe registers the memo's hit/miss counters on r, under the same
@@ -133,19 +124,10 @@ func (m *lightMemo) grow() {
 	}
 }
 
-// EvaluateBatch scores each candidate (memoised) and returns the results
-// in input order.
-func (m *lightMemo) EvaluateBatch(ds []dist.Distribution) []float64 {
-	out := make([]float64, len(ds))
-	m.EvaluateBatchFromInto(out, nil, ds)
-	return out
-}
-
-// EvaluateBatchFromInto scores ds[i] into out[i], forwarding only the
+// EvaluateBatchFromInto implements Evaluator, forwarding only the
 // candidates absent from the table — each distinct distribution at most
-// once per batch — to the inner evaluator, with the batch's common
-// ancestor handed to a base-aware inner evaluator. Same semantics as
-// Memo.EvaluateBatchFromInto, minus thread safety.
+// once per batch — to the inner evaluator, with the batch's ancestor.
+// Same semantics as Memo.EvaluateBatchFromInto, minus thread safety.
 func (m *lightMemo) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if len(out) != len(ds) {
 		panic("search: batch output length mismatch")
@@ -200,14 +182,7 @@ func (m *lightMemo) EvaluateBatchFromInto(out []float64, base dist.Distribution,
 			m.freshT = make([]float64, n)
 		}
 		m.freshT = m.freshT[:n]
-		switch {
-		case m.baseB != nil && base != nil:
-			m.baseB.EvaluateBatchFromInto(m.freshT, base, m.freshD)
-		case m.batch != nil:
-			m.batch.EvaluateBatchInto(m.freshT, m.freshD)
-		default:
-			evalStrideFrom(m.single, m.freshT, base, m.freshD, 0, 1)
-		}
+		m.ev.EvaluateBatchFromInto(m.freshT, base, m.freshD)
 		// Publish after evaluating, like Memo: a panicking inner evaluator
 		// unwinds before anything enters the table.
 		for i, h := range m.freshH {

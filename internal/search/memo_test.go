@@ -18,12 +18,22 @@ type panicEvaluator struct {
 	calls atomic.Int64
 }
 
-func (p *panicEvaluator) Evaluate(d dist.Distribution) float64 {
-	p.calls.Add(1)
-	if p.armed.Load() && d.Hash() == p.bad {
-		panic("panicEvaluator: injected failure")
+func (p *panicEvaluator) EvaluateBatchFromInto(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	for i, d := range ds {
+		p.calls.Add(1)
+		if p.armed.Load() && d.Hash() == p.bad {
+			panic("panicEvaluator: injected failure")
+		}
+		out[i] = float64(d.Total())
 	}
-	return float64(d.Total())
+}
+
+// evalOne scores one candidate through ev as a batch of one with no
+// ancestry.
+func evalOne(ev Evaluator, d dist.Distribution) float64 {
+	var out [1]float64
+	ev.EvaluateBatchFromInto(out[:], nil, []dist.Distribution{d})
+	return out[0]
 }
 
 // TestMemoBatchPanicDoesNotPoison pins the first half of the batch-memo
@@ -59,10 +69,10 @@ func TestMemoBatchPanicDoesNotPoison(t *testing.T) {
 
 	// The memo must still work — and must not serve a poisoned zero.
 	ev.armed.Store(false)
-	if got := m.Evaluate(good); got != 8 {
+	if got := evalOne(m, good); got != 8 {
 		t.Fatalf("good after panic = %v, want 8", got)
 	}
-	if got := m.Evaluate(bad); got != 8 {
+	if got := evalOne(m, bad); got != 8 {
 		t.Fatalf("bad after panic = %v, want 8", got)
 	}
 	m.EvaluateBatchInto(out, batch)
@@ -71,8 +81,8 @@ func TestMemoBatchPanicDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestMemoSinglePanicDoesNotPoison is the same contract for the single
-// Evaluate path.
+// TestMemoSinglePanicDoesNotPoison is the same contract for a single
+// candidate, which is a batch of one.
 func TestMemoSinglePanicDoesNotPoison(t *testing.T) {
 	bad := dist.Distribution{1, 7}
 	ev := &panicEvaluator{bad: bad.Hash()}
@@ -84,13 +94,13 @@ func TestMemoSinglePanicDoesNotPoison(t *testing.T) {
 				t.Fatal("injected panic did not propagate")
 			}
 		}()
-		m.Evaluate(bad)
+		evalOne(m, bad)
 	}()
 	if m.Len() != 0 || m.Evaluations() != 0 {
 		t.Fatalf("len %d evals %d after panic, want 0 0", m.Len(), m.Evaluations())
 	}
 	ev.armed.Store(false)
-	if got := m.Evaluate(bad); got != 8 {
+	if got := evalOne(m, bad); got != 8 {
 		t.Fatalf("after panic = %v, want 8", got)
 	}
 }
@@ -118,13 +128,13 @@ func TestMemoWaiterRecoversFromPanickedOwner(t *testing.T) {
 			recover()
 			close(ownerDone)
 		}()
-		m.Evaluate(bad)
+		evalOne(m, bad)
 	}()
 	<-started
 
 	waiterDone := make(chan float64, 1)
 	go func() {
-		waiterDone <- m.Evaluate(bad)
+		waiterDone <- evalOne(m, bad)
 	}()
 	close(release)
 	<-ownerDone
@@ -155,8 +165,8 @@ func TestMemoConcurrentSharedUse(t *testing.T) {
 			for rep := 0; rep < 50; rep++ {
 				for i := 0; i < 16; i++ {
 					d := mk((i + g) % 16)
-					if got := m.Evaluate(d); got != want(d) {
-						t.Errorf("Evaluate(%v) = %v, want %v", d, got, want(d))
+					if got := evalOne(m, d); got != want(d) {
+						t.Errorf("evalOne(%v) = %v, want %v", d, got, want(d))
 						return
 					}
 				}
@@ -202,7 +212,7 @@ func TestMemoEvictionLimit(t *testing.T) {
 	m.Observe(reg)
 	m.SetLimit(3)
 	for i := 1; i <= 4; i++ {
-		m.Evaluate(dist.Distribution{i, i})
+		evalOne(m, dist.Distribution{i, i})
 	}
 	// The 4th publish grew the table to 4 > 3: everything evicted.
 	if m.Len() != 0 {
@@ -215,7 +225,7 @@ func TestMemoEvictionLimit(t *testing.T) {
 		t.Fatalf("eviction counter %d, want 4", got)
 	}
 	// Re-seeing an evicted key is a fresh miss.
-	m.Evaluate(dist.Distribution{1, 1})
+	evalOne(m, dist.Distribution{1, 1})
 	if calls.Load() != 5 || m.Evaluations() != 5 {
 		t.Fatalf("calls %d evals %d, want 5", calls.Load(), m.Evaluations())
 	}
@@ -229,7 +239,7 @@ func TestMemoEvictionLimit(t *testing.T) {
 func TestMemoSetLimitShrinkEvictsNow(t *testing.T) {
 	m := NewMemo(EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d.Total()) }))
 	for i := 1; i <= 8; i++ {
-		m.Evaluate(dist.Distribution{i, i})
+		evalOne(m, dist.Distribution{i, i})
 	}
 	if m.Len() != 8 {
 		t.Fatalf("len %d after 8 distinct keys, want 8", m.Len())
@@ -242,8 +252,8 @@ func TestMemoSetLimitShrinkEvictsNow(t *testing.T) {
 		t.Fatalf("evictions %d, want 8", m.Evictions())
 	}
 	// Growing (or keeping) the limit above the table size evicts nothing.
-	m.Evaluate(dist.Distribution{1, 1})
-	m.Evaluate(dist.Distribution{2, 2})
+	evalOne(m, dist.Distribution{1, 1})
+	evalOne(m, dist.Distribution{2, 2})
 	m.SetLimit(5)
 	if m.Len() != 2 || m.Evictions() != 8 {
 		t.Fatalf("len %d evictions %d after widening limit, want 2 and 8", m.Len(), m.Evictions())
@@ -260,8 +270,8 @@ func TestMemoObserveCounters(t *testing.T) {
 	out := make([]float64, 3)
 	m.EvaluateBatchInto(out, batch) // 2 misses + 1 in-batch duplicate hit
 	m.EvaluateBatchInto(out, batch) // 3 hits
-	m.Evaluate(d2)                  // 1 hit
-	m.Evaluate(dist.Distribution{3, 0})
+	evalOne(m, d2)                  // 1 hit
+	evalOne(m, dist.Distribution{3, 0})
 	hits := reg.Counter("search.memo.hits").Value()
 	misses := reg.Counter("search.memo.misses").Value()
 	if misses != 3 {
@@ -279,23 +289,23 @@ func TestMemoObserveCounters(t *testing.T) {
 // follow the deterministic i%workers stride.
 func TestPoolObserveWorkerShares(t *testing.T) {
 	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	p := NewPool(ev, 3)
+	p := NewPool(ev, 3, nil)
 	reg := obs.New()
 	p.Observe(reg)
 	ds := make([]dist.Distribution, 10)
 	for i := range ds {
 		ds[i] = dist.Distribution{i}
 	}
-	p.EvaluateBatchInto(make([]float64, 10), ds)
-	p.Evaluate(ds[0])
+	p.EvaluateBatchFromInto(make([]float64, 10), nil, ds)
+	evalOne(p, ds[0]) // a batch of one, scored inline on worker 0
 	if got := reg.Counter("search.pool.evaluations").Value(); got != 11 {
 		t.Fatalf("evaluations %d, want 11", got)
 	}
-	if got := reg.Counter("search.pool.batches").Value(); got != 1 {
-		t.Fatalf("batches %d, want 1", got)
+	if got := reg.Counter("search.pool.batches").Value(); got != 2 {
+		t.Fatalf("batches %d, want 2", got)
 	}
 	// 10 elements over 3 workers: strides of 4 (0,3,6,9), 3, 3; worker 0
-	// also took the single Evaluate.
+	// also took the batch of one.
 	for i, want := range []int64{5, 3, 3} {
 		if got := reg.Counter(poolWorkerName(i)).Value(); got != want {
 			t.Fatalf("worker %d evals %d, want %d", i, got, want)

@@ -10,38 +10,16 @@ import (
 	"mheta/internal/obs"
 )
 
-// BatchEvaluator is an Evaluator that can score many candidates at once.
-// The searchers emit their independent candidates in batches; a
-// BatchEvaluator is free to spread a batch across goroutines as long as
-// out[i] is the same value a serial Evaluate(ds[i]) would produce.
-type BatchEvaluator interface {
-	Evaluator
-	// EvaluateBatchInto scores ds[i] into out[i]; len(out) must equal
-	// len(ds). Implementations must not retain ds past the call.
-	EvaluateBatchInto(out []float64, ds []dist.Distribution)
-}
-
-// CloneableEvaluator is implemented by evaluators that are not safe for
-// concurrent use; NewPool gives each worker its own clone instead of
-// sharing one instance. ModelEvaluator implements it by cloning the
-// underlying core.Model (one per goroutine, as the Model doc requires).
-type CloneableEvaluator interface {
-	Evaluator
-	// CloneEvaluator returns an independent evaluator that produces
-	// bit-identical scores.
-	CloneEvaluator() Evaluator
-}
-
 // Pool evaluates candidate batches concurrently on a fixed set of
-// workers. Worker w owns its own evaluator (a clone when the source
-// implements CloneableEvaluator), and batch element i is always scored by
+// workers. Worker w owns its own evaluator (a clone, when NewPool is
+// given a clone function), and batch element i is always scored by
 // worker i%workers, so results are bit-identical for any worker count —
 // parallelism changes wall-clock time, never the search outcome.
 //
-// A Pool is itself an Evaluator (serial, on worker 0) and a
-// BatchEvaluator, so every searcher accepts one directly. It has no
-// background goroutines and needs no Close; workers are spawned per
-// batch and a single-worker Pool evaluates inline.
+// A Pool is itself an Evaluator, so every searcher accepts one directly.
+// It has no background goroutines and needs no Close; workers are spawned
+// per batch, and a single-worker Pool (or a batch of one) evaluates
+// inline on worker 0.
 //
 // A Pool may be shared by concurrent callers — a Memo forwards
 // overlapping batches' fresh sets concurrently — so calls serialise on an
@@ -66,18 +44,20 @@ type Pool struct {
 }
 
 // NewPool builds a pool of n workers over ev. n <= 0 selects
-// runtime.GOMAXPROCS(0). If ev implements CloneableEvaluator each worker
-// beyond the first gets a clone; otherwise ev is shared and must be safe
-// for concurrent use (pure functions are).
-func NewPool(ev Evaluator, n int) *Pool {
+// runtime.GOMAXPROCS(0). Worker 0 uses ev; every further worker gets
+// clone() when clone is non-nil and shares ev otherwise, in which case ev
+// must be safe for concurrent use (pure functions are). Single-goroutine
+// evaluators pass their CloneEvaluator method value, e.g.
+// NewPool(dme, n, dme.CloneEvaluator).
+func NewPool(ev Evaluator, n int, clone func() Evaluator) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	evs := make([]Evaluator, n)
 	evs[0] = ev
 	for i := 1; i < n; i++ {
-		if c, ok := ev.(CloneableEvaluator); ok {
-			evs[i] = c.CloneEvaluator()
+		if clone != nil {
+			evs[i] = clone()
 		} else {
 			evs[i] = ev
 		}
@@ -110,72 +90,30 @@ func (p *Pool) Workers() int {
 	return len(p.evs)
 }
 
-// Evaluate implements Evaluator on worker 0.
-func (p *Pool) Evaluate(d dist.Distribution) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.obsWorker != nil {
-		p.obsEvals.Inc()
-		p.obsWorker[0].Inc()
-	}
-	return p.evs[0].Evaluate(d)
-}
-
-// EvaluateBatch scores each candidate and returns the results in input
-// order. See EvaluateBatchInto for the allocation-free variant.
-func (p *Pool) EvaluateBatch(ds []dist.Distribution) []float64 {
-	out := make([]float64, len(ds))
-	p.EvaluateBatchInto(out, ds)
-	return out
-}
-
-// EvaluateBatchInto implements BatchEvaluator: batch element i is scored
+// EvaluateBatchFromInto implements Evaluator: batch element i is scored
 // by worker i%workers, each worker striding through the batch on its own
-// evaluator.
-func (p *Pool) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
-	p.EvaluateBatchFromInto(out, nil, ds)
-}
-
-// EvaluateFrom implements BaseEvaluator on worker 0, forwarding the base
-// when the worker's evaluator is base-aware.
-func (p *Pool) EvaluateFrom(base, d dist.Distribution) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.obsWorker != nil {
-		p.obsEvals.Inc()
-		p.obsWorker[0].Inc()
-	}
-	if be, ok := p.evs[0].(BaseEvaluator); ok {
-		return be.EvaluateFrom(base, d)
-	}
-	return p.evs[0].Evaluate(d)
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator: the deterministic
-// i%workers stride of EvaluateBatchInto, with the batch's ancestor handed
-// to every base-aware worker (each warms the shared busy-term table for it
-// once).
+// evaluator one candidate at a time (a batch of one over the caller's
+// buffers), with the batch's ancestor handed to every worker (a delta
+// evaluator warms the shared busy-term table for it once).
 func (p *Pool) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if len(out) != len(ds) {
 		panic("search: batch output length mismatch")
 	}
+	if len(ds) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := len(p.evs)
-	if w > len(ds) {
-		w = len(ds)
-	}
-	if p.obsWorker != nil && len(ds) > 0 {
+	w := min(len(p.evs), len(ds))
+	if p.obsWorker != nil {
 		p.obsBatches.Inc()
 		p.obsEvals.Add(int64(len(ds)))
 		for k := 0; k < w; k++ {
 			p.obsWorker[k].Add(int64(strideLen(len(ds), k, w)))
 		}
 	}
-	if w <= 1 {
-		if len(ds) > 0 {
-			evalStrideFrom(p.evs[0], out, base, ds, 0, 1)
-		}
+	if w == 1 {
+		p.evs[0].EvaluateBatchFromInto(out, base, ds)
 		return
 	}
 	var wg sync.WaitGroup
@@ -184,26 +122,13 @@ func (p *Pool) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds [
 		//mheta:lifecycle waitgroup
 		go func(k int) {
 			defer wg.Done()
-			evalStrideFrom(p.evs[k], out, base, ds, k, w)
+			ev := p.evs[k]
+			for i := k; i < len(ds); i += w {
+				ev.EvaluateBatchFromInto(out[i:i+1], base, ds[i:i+1])
+			}
 		}(k)
 	}
 	wg.Wait()
-}
-
-func evalStride(ev Evaluator, out []float64, ds []dist.Distribution, start, stride int) {
-	for i := start; i < len(ds); i += stride {
-		out[i] = ev.Evaluate(ds[i])
-	}
-}
-
-func evalStrideFrom(ev Evaluator, out []float64, base dist.Distribution, ds []dist.Distribution, start, stride int) {
-	if be, ok := ev.(BaseEvaluator); ok && base != nil {
-		for i := start; i < len(ds); i += stride {
-			out[i] = be.EvaluateFrom(base, ds[i])
-		}
-		return
-	}
-	evalStride(ev, out, ds, start, stride)
 }
 
 // strideLen counts the elements worker start handles in a batch of n with
@@ -228,20 +153,16 @@ func strideLen(n, start, stride int) int {
 // a pending entry (never a placeholder value in the table), so a
 // panicking inner evaluator unwinds without poisoning the table — the
 // pending entries are rolled back and concurrent waiters retry the
-// evaluation themselves. Single Evaluate calls never block behind a
-// running batch unless they need a key that batch is computing, and
-// concurrent batch calls run concurrently (each takes its own scratch
-// from a free list): overlapping keys resolve through the pending
-// protocol, so no caller convoys behind an unrelated batch.
+// evaluation themselves. Concurrent batch calls run concurrently (each
+// takes its own scratch from a free list) and block on one another only
+// for a key the other is computing: overlapping keys resolve through the
+// pending protocol, so no caller convoys behind an unrelated batch.
 type Memo struct {
 	mu      sync.RWMutex
 	table   map[uint64]float64      //mheta:guardedby mu
 	pending map[uint64]*memoPending //mheta:guardedby mu
-	single  Evaluator
-	batch   BatchEvaluator     // non-nil when single supports batching
-	base    BaseEvaluator      // non-nil when single is base-aware
-	baseB   BaseBatchEvaluator // non-nil when single supports base-aware batching
-	misses  atomic.Int64       //mheta:atomic
+	ev      Evaluator
+	misses  atomic.Int64 //mheta:atomic
 
 	// limit, when positive, bounds the table: the epoch after a publish
 	// grows past limit entries, the whole table is cleared (deterministic
@@ -307,26 +228,15 @@ func (p *memoPending) resolveLocked() {
 	}
 }
 
-// NewMemo wraps ev (batch-aware when it implements BatchEvaluator) with a
-// fresh memo table.
+// NewMemo wraps ev with a fresh memo table.
 func NewMemo(ev Evaluator) *Memo {
-	m := &Memo{
+	return &Memo{
 		// Presized for a typical search's working set so the hot loop
 		// never pays for map growth.
 		table:   make(map[uint64]float64, 128),
 		pending: make(map[uint64]*memoPending, 16),
-		single:  ev,
+		ev:      ev,
 	}
-	if be, ok := ev.(BatchEvaluator); ok {
-		m.batch = be
-	}
-	if be, ok := ev.(BaseEvaluator); ok {
-		m.base = be
-	}
-	if bb, ok := ev.(BaseBatchEvaluator); ok {
-		m.baseB = bb
-	}
-	return m
 }
 
 // getScratch checks a scratch set out of the free list.
@@ -407,104 +317,17 @@ func (m *Memo) maybeEvictLocked() {
 	m.obsEvict.Add(int64(n))
 }
 
-// Evaluate implements Evaluator with memoisation.
-func (m *Memo) Evaluate(d dist.Distribution) float64 {
-	h := d.Hash()
-	for {
-		m.mu.RLock()
-		t, ok := m.table[h]
-		m.mu.RUnlock()
-		if ok {
-			m.obsHits.Inc()
-			return t
-		}
-		m.mu.Lock()
-		if t, ok := m.table[h]; ok {
-			m.mu.Unlock()
-			m.obsHits.Inc()
-			return t
-		}
-		if p, ok := m.pending[h]; ok {
-			// Someone else is evaluating this key right now; wait for the
-			// publish instead of duplicating the work.
-			done := p.waitChanLocked()
-			m.mu.Unlock()
-			<-done
-			if p.ok {
-				m.obsHits.Inc()
-				return p.val
-			}
-			continue // the owner panicked; retry for ownership
-		}
-		p := &memoPending{}
-		m.pending[h] = p
-		m.mu.Unlock()
-
-		// Evaluate outside every lock; publish after, roll back on panic.
-		func() {
-			defer func() {
-				m.mu.Lock()
-				delete(m.pending, h)
-				if p.ok {
-					m.table[h] = p.val
-					m.maybeEvictLocked()
-				}
-				p.resolveLocked()
-				m.mu.Unlock()
-			}()
-			p.val = m.single.Evaluate(d)
-			p.ok = true
-		}()
-		m.misses.Add(1)
-		m.obsMisses.Inc()
-		return p.val
-	}
-}
-
-// EvaluateBatch scores each candidate (memoised) and returns the results
-// in input order.
-func (m *Memo) EvaluateBatch(ds []dist.Distribution) []float64 {
-	out := make([]float64, len(ds))
-	m.EvaluateBatchInto(out, ds)
-	return out
-}
-
-// EvaluateBatchInto implements BatchEvaluator. Only candidates absent
-// from the table are forwarded to the inner evaluator, each distinct
-// distribution at most once per batch. The inner evaluation runs with no
-// memo lock held, so concurrent Evaluate callers on a shared memo are
-// delayed only if they ask for a key this batch is computing.
+// EvaluateBatchInto is EvaluateBatchFromInto with no ancestry.
 func (m *Memo) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
 	m.EvaluateBatchFromInto(out, nil, ds)
 }
 
-// EvaluateFrom implements BaseEvaluator, forwarding the base to the inner
-// evaluator on a miss when it is base-aware. Memoisation semantics are
-// identical to Evaluate (the base never changes a value, only how fast a
-// miss is computed).
-func (m *Memo) EvaluateFrom(base, d dist.Distribution) float64 {
-	if m.base == nil || base == nil {
-		return m.Evaluate(d)
-	}
-	h := d.Hash()
-	m.mu.RLock()
-	t, ok := m.table[h]
-	m.mu.RUnlock()
-	if ok {
-		m.obsHits.Inc()
-		return t
-	}
-	// Rare path (miss): reuse the batch machinery for the pending
-	// protocol rather than duplicating it.
-	var outBuf [1]float64
-	dsBuf := [1]dist.Distribution{d}
-	m.EvaluateBatchFromInto(outBuf[:], base, dsBuf[:])
-	return outBuf[0]
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator: EvaluateBatchInto
-// semantics, with the batch's common ancestor forwarded to the inner
-// evaluator (when base-aware) for the fresh candidates.
+// EvaluateBatchFromInto implements Evaluator. Only candidates absent
+// from the table are forwarded to the inner evaluator — each distinct
+// distribution at most once per batch, with the batch's ancestor — and
+// the inner evaluation runs with no memo lock held, so concurrent callers
+// on a shared memo are delayed only if they ask for a key this batch is
+// computing.
 func (m *Memo) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	if len(out) != len(ds) {
 		panic("search: batch output length mismatch")
@@ -568,14 +391,7 @@ func (m *Memo) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds [
 				}
 				m.mu.Unlock()
 			}()
-			switch {
-			case m.baseB != nil && base != nil:
-				m.baseB.EvaluateBatchFromInto(s.freshT, base, s.freshD)
-			case m.batch != nil:
-				m.batch.EvaluateBatchInto(s.freshT, s.freshD)
-			default:
-				evalStrideFrom(m.single, s.freshT, base, s.freshD, 0, 1)
-			}
+			m.ev.EvaluateBatchFromInto(s.freshT, base, s.freshD)
 			// Publish after evaluating: values enter the table complete or
 			// not at all.
 			m.mu.Lock()
@@ -599,14 +415,15 @@ func (m *Memo) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds [
 
 	// Resolve the waited keys last: in-batch duplicates (owned by us,
 	// already published above) and keys concurrent callers were computing.
-	// A failed owner means we evaluate the key ourselves.
+	// A failed owner means we retry the key ourselves, as a batch of one.
 	for j, p := range s.waitP {
+		i := s.waitIdx[j]
 		<-p.done
 		if p.ok {
-			out[s.waitIdx[j]] = p.val
+			out[i] = p.val
 			m.obsHits.Inc()
 		} else {
-			out[s.waitIdx[j]] = m.Evaluate(ds[s.waitIdx[j]])
+			m.EvaluateBatchFromInto(out[i:i+1], base, ds[i:i+1])
 		}
 	}
 
@@ -630,66 +447,19 @@ func (m *Memo) Len() int {
 	return len(m.table)
 }
 
-// counter wraps an Evaluator with an atomic evaluation count and a batch
-// path that forwards to the inner BatchEvaluator when available. The
-// stochastic searchers count every call (they do not memoise, preserving
-// the serial algorithms' Evaluations exactly); GBS counts through Memo
-// instead.
+// counter wraps an Evaluator with an atomic evaluation count. The
+// stochastic searchers count every candidate (they do not memoise,
+// preserving the serial algorithms' Evaluations exactly); GBS counts
+// through lightMemo instead.
 type counter struct {
-	single Evaluator
-	batch  BatchEvaluator     // non-nil when single supports batching
-	baseE  BaseEvaluator      // non-nil when single is base-aware
-	baseB  BaseBatchEvaluator // non-nil when single supports base-aware batching
-	n      atomic.Int64       //mheta:atomic
+	ev Evaluator
+	n  atomic.Int64 //mheta:atomic
 }
 
-func newCounter(ev Evaluator) *counter {
-	c := &counter{single: ev}
-	if be, ok := ev.(BatchEvaluator); ok {
-		c.batch = be
-	}
-	if be, ok := ev.(BaseEvaluator); ok {
-		c.baseE = be
-	}
-	if bb, ok := ev.(BaseBatchEvaluator); ok {
-		c.baseB = bb
-	}
-	return c
-}
-
-func (c *counter) eval(d dist.Distribution) float64 {
-	c.n.Add(1)
-	return c.single.Evaluate(d)
-}
-
-// evalFrom is eval naming the candidate's ancestor (same contract as
-// evalBatchFrom, without the one-element batch detour — this is the
-// annealing chain's per-step path).
-func (c *counter) evalFrom(base, d dist.Distribution) float64 {
-	c.n.Add(1)
-	if c.baseE != nil && base != nil {
-		return c.baseE.EvaluateFrom(base, d)
-	}
-	return c.single.Evaluate(d)
-}
-
-func (c *counter) evalBatch(out []float64, ds []dist.Distribution) {
-	c.evalBatchFrom(out, nil, ds)
-}
-
-// evalBatchFrom is evalBatch naming the batch's common ancestor, which
-// base-aware evaluators use to warm their caches (scores are unchanged).
-func (c *counter) evalBatchFrom(out []float64, base dist.Distribution, ds []dist.Distribution) {
+// EvaluateBatchFromInto implements Evaluator.
+func (c *counter) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
 	c.n.Add(int64(len(ds)))
-	if c.baseB != nil && base != nil {
-		c.baseB.EvaluateBatchFromInto(out, base, ds)
-		return
-	}
-	if c.batch != nil {
-		c.batch.EvaluateBatchInto(out, ds)
-		return
-	}
-	evalStrideFrom(c.single, out, base, ds, 0, 1)
+	c.ev.EvaluateBatchFromInto(out, base, ds)
 }
 
 func (c *counter) count() int { return int(c.n.Load()) }

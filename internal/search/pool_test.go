@@ -16,7 +16,7 @@ import (
 // depends on every Table 1 axis: per-node time is work over CPU power,
 // plus a disk-scaled penalty for the share that spills out of core. Being
 // a pure function it is safe to share across pool workers.
-func specEvaluator(spec cluster.Spec, bpe int64) Evaluator {
+func specEvaluator(spec cluster.Spec, bpe int64) EvaluatorFunc {
 	return EvaluatorFunc(func(d dist.Distribution) float64 {
 		worst := 0.0
 		for i, b := range d {
@@ -50,7 +50,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		for _, s := range searchers {
 			serial := s.Search(ev, total)
 			for _, workers := range []int{1, 8} {
-				got := s.Search(NewPool(ev, workers), total)
+				got := s.Search(NewPool(ev, workers, nil), total)
 				if !got.Best.Equal(serial.Best) || got.Time != serial.Time || got.Evaluations != serial.Evaluations {
 					t.Errorf("%s on %s: Pool(%d) = (%v, %v, %d evals), serial = (%v, %v, %d evals)",
 						s.Name(), spec.Name, workers,
@@ -108,14 +108,22 @@ func poolTestParams(n int) core.Params {
 }
 
 // TestPoolClonesModelEvaluator checks the production configuration: a
-// pool over ModelEvaluator clones one Model per worker and matches the
-// serial search bit for bit.
+// pool over ModelEvaluator, given its CloneEvaluator method as the clone
+// function, clones one Model per extra worker and matches the serial
+// search bit for bit.
 func TestPoolClonesModelEvaluator(t *testing.T) {
 	model := core.MustModel(poolTestParams(8))
 	ev := ModelEvaluator{Model: model}
-	pool := NewPool(ev, 4)
+	clones := 0
+	pool := NewPool(ev, 4, func() Evaluator {
+		clones++
+		return ev.CloneEvaluator()
+	})
 	if pool.Workers() != 4 {
 		t.Fatalf("workers %d, want 4", pool.Workers())
+	}
+	if clones != 3 {
+		t.Fatalf("%d clones for 4 workers, want 3 (worker 0 uses the source)", clones)
 	}
 	for _, s := range []Searcher{
 		&GBS{Spec: cluster.HY1(8), BytesPerElem: 100},
@@ -134,12 +142,13 @@ func TestPoolClonesModelEvaluator(t *testing.T) {
 
 func TestPoolEvaluateBatchOrder(t *testing.T) {
 	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	pool := NewPool(ev, 3)
+	pool := NewPool(ev, 3, nil)
 	ds := make([]dist.Distribution, 10)
 	for i := range ds {
 		ds[i] = dist.Distribution{i}
 	}
-	out := pool.EvaluateBatch(ds)
+	out := make([]float64, len(ds))
+	pool.EvaluateBatchFromInto(out, nil, ds)
 	for i, v := range out {
 		if v != float64(i) {
 			t.Fatalf("out[%d] = %v", i, v)
@@ -156,21 +165,22 @@ func TestMemoDedup(t *testing.T) {
 	d1 := dist.Distribution{3, 5}
 	d2 := dist.Distribution{4, 4}
 	batch := []dist.Distribution{d1, d2, d1.Clone()} // in-batch duplicate
-	out := m.EvaluateBatch(batch)
+	out := make([]float64, len(batch))
+	m.EvaluateBatchInto(out, batch)
 	if out[0] != 8 || out[1] != 8 || out[2] != 8 {
 		t.Fatalf("out %v", out)
 	}
 	if calls.Load() != 2 || m.Evaluations() != 2 {
 		t.Fatalf("calls %d, evaluations %d, want 2", calls.Load(), m.Evaluations())
 	}
-	m.EvaluateBatch(batch) // fully memoised
-	if got := m.Evaluate(d2); got != 8 {
+	m.EvaluateBatchInto(out, batch) // fully memoised
+	if got := evalOne(m, d2); got != 8 {
 		t.Fatalf("single hit %v", got)
 	}
 	if calls.Load() != 2 || m.Evaluations() != 2 || m.Len() != 2 {
 		t.Fatalf("after hits: calls %d, evaluations %d, len %d", calls.Load(), m.Evaluations(), m.Len())
 	}
-	if got := m.Evaluate(dist.Distribution{8, 0}); got != 8 || m.Evaluations() != 3 {
+	if got := evalOne(m, dist.Distribution{8, 0}); got != 8 || m.Evaluations() != 3 {
 		t.Fatalf("single miss %v, evaluations %d", got, m.Evaluations())
 	}
 }
@@ -188,12 +198,11 @@ func TestMemoisedBatchZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("memoised batch allocates %v/op, want 0", allocs)
 	}
-	one := ds[0]
 	allocs = testing.AllocsPerRun(200, func() {
-		m.Evaluate(one)
+		m.EvaluateBatchInto(out[:1], ds[:1]) // a batch of one
 	})
 	if allocs != 0 {
-		t.Fatalf("memoised single evaluate allocates %v/op, want 0", allocs)
+		t.Fatalf("memoised batch of one allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -217,7 +226,7 @@ func TestAnnealingFanOneMatchesClassicChain(t *testing.T) {
 // memory.
 func TestPoolIntrospectionConcurrentWithBatches(t *testing.T) {
 	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	pool := NewPool(ev, 4)
+	pool := NewPool(ev, 4, nil)
 	ds := make([]dist.Distribution, 64)
 	for i := range ds {
 		ds[i] = dist.Distribution{i}
@@ -227,8 +236,9 @@ func TestPoolIntrospectionConcurrentWithBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			out := make([]float64, len(ds))
 			for i := 0; i < 20; i++ {
-				pool.EvaluateBatch(ds)
+				pool.EvaluateBatchFromInto(out, nil, ds)
 			}
 		}()
 	}

@@ -21,41 +21,34 @@ import (
 	"mheta/internal/vclock"
 )
 
-// Evaluator scores a candidate distribution; lower is better. core.Model
-// satisfies this via ModelEvaluator.
+// Evaluator is the one evaluation contract every searcher, wrapper and
+// model adapter speaks: it scores ds[i] into out[i] (lower is better).
+// len(out) must equal len(ds), and implementations must not retain base
+// or ds past the call.
+//
+// Every ds[i] derives from base — a mutation's parent, a GBS leg's best
+// anchor — and a nil base means no ancestry, a full evaluation. The base
+// is a warm-up hint only: out[i] must be exactly the value a nil base
+// would produce, bit for bit; a base-aware evaluator merely reaches it
+// faster by reusing work shared with the base (see core.DeltaEvaluator).
+// A single candidate is a batch of one, passed as one-element subslices
+// of the caller's buffers (out[i:i+1], ds[i:i+1]), so it costs no
+// allocation.
 type Evaluator interface {
-	Evaluate(d dist.Distribution) float64
-}
-
-// BaseEvaluator is an Evaluator that can exploit a candidate's ancestry:
-// EvaluateFrom names the base distribution the candidate was derived from
-// (a mutation's parent, a GBS leg's best anchor). The base is a warm-up
-// hint only — implementations must return exactly what Evaluate(d) would,
-// bit for bit; a base-aware evaluator merely reaches that value faster by
-// reusing work shared with the base (see core.DeltaEvaluator).
-type BaseEvaluator interface {
-	Evaluator
-	// EvaluateFrom scores d, which differs from base in few ranks. A nil
-	// base means "no ancestry" and behaves like Evaluate.
-	EvaluateFrom(base, d dist.Distribution) float64
-}
-
-// BaseBatchEvaluator is a BatchEvaluator whose batches carry their common
-// ancestor. Same contract as BaseEvaluator: out[i] must equal what a
-// plain EvaluateBatchInto would produce.
-type BaseBatchEvaluator interface {
-	BatchEvaluator
-	// EvaluateBatchFromInto scores ds[i] into out[i]; every ds[i] derives
-	// from base (nil = no ancestry). Implementations must not retain base
-	// or ds past the call.
 	EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution)
 }
 
-// EvaluatorFunc adapts a function to the Evaluator interface.
+// EvaluatorFunc adapts a pure scoring function to the Evaluator
+// interface; the base is ignored. Being pure, it is safe to share across
+// pool workers.
 type EvaluatorFunc func(d dist.Distribution) float64
 
-// Evaluate implements Evaluator.
-func (f EvaluatorFunc) Evaluate(d dist.Distribution) float64 { return f(d) }
+// EvaluateBatchFromInto implements Evaluator.
+func (f EvaluatorFunc) EvaluateBatchFromInto(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	for i, d := range ds {
+		out[i] = f(d)
+	}
+}
 
 // Result is a search outcome.
 type Result struct {

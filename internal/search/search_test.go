@@ -12,7 +12,7 @@ import (
 // loadImbalanceEvaluator scores a distribution as the max per-node time
 // of a cluster with per-node speeds — a cheap, well-understood surrogate
 // for the MHETA model with a known optimum (proportional to speed).
-func loadImbalanceEvaluator(speeds []float64) Evaluator {
+func loadImbalanceEvaluator(speeds []float64) EvaluatorFunc {
 	return EvaluatorFunc(func(d dist.Distribution) float64 {
 		worst := 0.0
 		for i, b := range d {
@@ -49,7 +49,7 @@ func TestGBSBeatsBlock(t *testing.T) {
 	ev := loadImbalanceEvaluator(hy1Speeds())
 	g := &GBS{Spec: spec, BytesPerElem: 4096}
 	res := g.Search(ev, searchTotal)
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := ev(dist.Block(searchTotal, 8))
 	if res.Time >= blk {
 		t.Fatalf("GBS %v not better than Blk %v", res.Time, blk)
 	}
@@ -100,7 +100,7 @@ func TestAnnealingImprovesOnBlk(t *testing.T) {
 	if err := res.Best.Validate(searchTotal); err != nil {
 		t.Fatal(err)
 	}
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := ev(dist.Block(searchTotal, 8))
 	if res.Time >= blk {
 		t.Fatalf("annealing %v not better than Blk %v", res.Time, blk)
 	}
@@ -110,7 +110,7 @@ func TestRandomNeverWorseThanBlk(t *testing.T) {
 	ev := loadImbalanceEvaluator(hy1Speeds())
 	r := &Random{N: 8, Seed: 7}
 	res := r.Search(ev, searchTotal)
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := ev(dist.Block(searchTotal, 8))
 	if res.Time > blk {
 		t.Fatalf("random %v worse than its own Blk baseline %v", res.Time, blk)
 	}
@@ -137,11 +137,11 @@ func TestSearchersDeterministic(t *testing.T) {
 }
 
 func TestCountingEvaluator(t *testing.T) {
-	c := newCounter(EvaluatorFunc(func(d dist.Distribution) float64 { return 1 }))
-	c.eval(dist.Distribution{1})
-	c.eval(dist.Distribution{1})
+	c := &counter{ev: EvaluatorFunc(func(d dist.Distribution) float64 { return 1 })}
+	evalOne(c, dist.Distribution{1})
+	evalOne(c, dist.Distribution{1})
 	out := make([]float64, 3)
-	c.evalBatch(out, []dist.Distribution{{1}, {2}, {3}})
+	c.EvaluateBatchFromInto(out, nil, []dist.Distribution{{1}, {2}, {3}})
 	if c.count() != 5 {
 		t.Fatalf("count %d, want 5", c.count())
 	}

@@ -36,15 +36,17 @@ func (r *Random) Search(ev Evaluator, total int) Result {
 	if budget <= 0 {
 		budget = 256
 	}
-	cev := newCounter(ev)
+	cev := &counter{ev: ev}
 	sBest := r.Obs.Series("search.random.best")
 	nz := vclock.NewNoise(r.Seed^0xAAD0, 0)
 	n := r.N
-	best := dist.Block(total, n)
-	bestT := cev.eval(best)
-	sBest.Append(0, bestT)
-	ds := make([]dist.Distribution, 0, randomChunk)
+	ds := make([]dist.Distribution, 1, randomChunk)
 	ts := make([]float64, randomChunk)
+	best := dist.Block(total, n)
+	ds[0] = best
+	cev.EvaluateBatchFromInto(ts[:1], nil, ds)
+	bestT := ts[0]
+	sBest.Append(0, bestT)
 	for remaining := budget - 1; remaining > 0; {
 		k := randomChunk
 		if k > remaining {
@@ -54,7 +56,7 @@ func (r *Random) Search(ev Evaluator, total int) Result {
 		for i := 0; i < k; i++ {
 			ds = append(ds, randomDist(nz, n, total, 0.1))
 		}
-		cev.evalBatchFrom(ts[:k], best, ds)
+		cev.EvaluateBatchFromInto(ts[:k], best, ds)
 		for i := 0; i < k; i++ {
 			if ts[i] < bestT {
 				bestT, best = ts[i], ds[i]
@@ -105,7 +107,7 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 	if mp <= 0 {
 		mp = 0.3
 	}
-	cev := newCounter(ev)
+	cev := &counter{ev: ev}
 	sBest := g.Obs.Series("search.genetic.best")
 	nz := vclock.NewNoise(g.Seed^0x6E7E, 0)
 
@@ -119,7 +121,7 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 	for i := range cur {
 		ds[i] = cur[i].d
 	}
-	cev.evalBatchFrom(ts[:pop], cur[0].d, ds[:pop])
+	cev.EvaluateBatchFromInto(ts[:pop], cur[0].d, ds[:pop])
 	for i := range cur {
 		cur[i].t = ts[i]
 	}
@@ -157,7 +159,7 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 			}
 			ds[i] = child
 		}
-		cev.evalBatchFrom(ts[:nOff], cur[0].d, ds[:nOff])
+		cev.EvaluateBatchFromInto(ts[:nOff], cur[0].d, ds[:nOff])
 		next := make([]scored, 0, pop)
 		next = append(next, cur[0], cur[1])
 		for i := 0; i < nOff; i++ {
@@ -254,30 +256,28 @@ func (a *Annealing) Search(ev Evaluator, total int) Result {
 	if fan <= 0 {
 		fan = 1
 	}
-	cev := newCounter(ev)
+	cev := &counter{ev: ev}
 	sBest := a.Obs.Series("search.annealing.best")
 	nz := vclock.NewNoise(a.Seed^0x5AEA, 0)
 
-	cur := dist.Block(total, a.N)
-	curT := cev.eval(cur)
-	best, bestT := cur.Clone(), curT
-	sBest.Append(0, bestT)
-	temp := t0 * curT
 	ds := make([]dist.Distribution, fan)
 	for i := range ds {
 		ds[i] = make(dist.Distribution, a.N)
 	}
 	ts := make([]float64, fan)
+	cur := dist.Block(total, a.N)
+	copy(ds[0], cur)
+	cev.EvaluateBatchFromInto(ts[:1], nil, ds[:1])
+	curT := ts[0]
+	best, bestT := cur.Clone(), curT
+	sBest.Append(0, bestT)
+	temp := t0 * curT
 	for s := 0; s < steps; s++ {
 		for i := 0; i < fan; i++ {
 			copy(ds[i], cur)
 			mutate(nz, ds[i], total)
 		}
-		if fan == 1 {
-			ts[0] = cev.evalFrom(cur, ds[0])
-		} else {
-			cev.evalBatchFrom(ts[:fan], cur, ds[:fan])
-		}
+		cev.EvaluateBatchFromInto(ts, cur, ds)
 		ci := 0
 		for i := 1; i < fan; i++ {
 			if ts[i] < ts[ci] {

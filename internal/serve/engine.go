@@ -114,7 +114,7 @@ func (e *engine) build(s *Server) {
 	dme.Observe(s.reg)
 	var ev search.Evaluator = dme
 	if s.cfg.Workers > 1 {
-		pool := search.NewPool(ev, s.cfg.Workers)
+		pool := search.NewPool(dme, s.cfg.Workers, dme.CloneEvaluator)
 		pool.Observe(s.reg)
 		ev = pool
 	}

@@ -206,7 +206,7 @@ func SearchWithOptions(alg string, spec ClusterSpec, app *App, model *Model, see
 	dme.Observe(opts.Metrics)
 	var ev search.Evaluator = dme
 	if opts.Workers != 1 && opts.Workers != 0 {
-		pool := search.NewPool(ev, opts.Workers)
+		pool := search.NewPool(dme, opts.Workers, dme.CloneEvaluator)
 		pool.Observe(opts.Metrics)
 		ev = pool
 	}
