@@ -30,22 +30,30 @@ func putF64(b []byte, i int, v float64) {
 	binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 }
 
-// f64sToBytes copies a float64 slice into a fresh byte slice.
-func f64sToBytes(xs []float64) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		putF64(b, i, x)
+// f64sToBytesInto encodes xs into dst, reusing dst's storage when it is
+// large enough.
+func f64sToBytesInto(dst []byte, xs []float64) []byte {
+	if cap(dst) < 8*len(xs) {
+		dst = make([]byte, 8*len(xs))
 	}
-	return b
+	dst = dst[:8*len(xs)]
+	for i, x := range xs {
+		putF64(dst, i, x)
+	}
+	return dst
 }
 
-// bytesToF64s copies a byte slice into a fresh float64 slice.
-func bytesToF64s(b []byte) []float64 {
-	xs := make([]float64, len(b)/8)
-	for i := range xs {
-		xs[i] = f64(b, i)
+// bytesToF64sInto decodes b into dst, reusing dst's storage when it is
+// large enough.
+func bytesToF64sInto(dst []float64, b []byte) []float64 {
+	if cap(dst) < len(b)/8 {
+		dst = make([]float64, len(b)/8)
 	}
-	return xs
+	dst = dst[:len(b)/8]
+	for i := range dst {
+		dst[i] = f64(b, i)
+	}
+	return dst
 }
 
 // cacheFactor is the memory-hierarchy effect MHETA does not model (§5.4

@@ -112,11 +112,21 @@ type jacobiState struct {
 	residual float64
 	// GlobalResidual is the reduction result, exposed for verification.
 	GlobalResidual float64
+	// msg and red are BoundaryMsg's and ReduceVal's reusable results:
+	// Send copies its payload and the reduction copies its input, so
+	// each call may overwrite the last.
+	msg []byte
+	red [1]float64
 }
 
 // jacobiBoundaryRow produces the initial value of global row i.
 func jacobiBoundaryRow(cfg JacobiConfig, i int) []float64 {
-	row := make([]float64, cfg.Cols)
+	return jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, i)
+}
+
+// jacobiBoundaryRowInto writes the initial value of global row i into
+// row, which holds cfg.Cols values, and returns it.
+func jacobiBoundaryRowInto(row []float64, cfg JacobiConfig, i int) []float64 {
 	for j := range row {
 		row[j] = hash64(cfg.Seed, i*cfg.Cols+j)
 	}
@@ -135,20 +145,19 @@ func (s *jacobiState) Init(nc *exec.NodeCtx) {
 		}
 		nc.R.Disk().Store("B", block)
 	}
+	// The four rows share one allocation; each is capacity-clipped so
+	// none can grow into the next.
+	c := cfg.Cols
+	rows := make([]float64, 4*c)
+	s.haloUp, s.haloDown = rows[:c:c], rows[c:2*c:2*c]
+	s.carry, s.firstRow = rows[2*c:3*c:3*c], rows[3*c:]
 	// Initial halos come from the initial dataset, which every rank can
-	// materialise deterministically.
-	if nc.Start > 0 {
-		s.haloUp = jacobiBoundaryRow(cfg, nc.Start-1)
-	} else {
-		s.haloUp = jacobiBoundaryRow(cfg, -1) // fixed synthetic boundary
-	}
+	// materialise deterministically. Above the first block, row -1 is
+	// the fixed synthetic boundary; below the last, the halo stays zero.
+	jacobiBoundaryRowInto(s.haloUp, cfg, nc.Start-1)
 	if nc.Start+nc.Count < cfg.Rows {
-		s.haloDown = jacobiBoundaryRow(cfg, nc.Start+nc.Count)
-	} else {
-		s.haloDown = make([]float64, cfg.Cols)
+		jacobiBoundaryRowInto(s.haloDown, cfg, nc.Start+nc.Count)
 	}
-	s.carry = make([]float64, cfg.Cols)
-	s.firstRow = make([]float64, cfg.Cols)
 }
 
 func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
@@ -192,21 +201,24 @@ func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int,
 
 func (s *jacobiState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
 	if dir > 0 {
-		return f64sToBytes(s.carry) // my last row, downstream
+		s.msg = f64sToBytesInto(s.msg, s.carry) // my last row, downstream
+	} else {
+		s.msg = f64sToBytesInto(s.msg, s.firstRow) // my first row, upstream
 	}
-	return f64sToBytes(s.firstRow) // my first row, upstream
+	return s.msg
 }
 
 func (s *jacobiState) OnBoundary(nc *exec.NodeCtx, sec, tile, dir int, data []byte) {
 	if dir < 0 {
-		s.haloUp = bytesToF64s(data) // from the upstream neighbour
+		s.haloUp = bytesToF64sInto(s.haloUp, data) // from the upstream neighbour
 	} else {
-		s.haloDown = bytesToF64s(data)
+		s.haloDown = bytesToF64sInto(s.haloDown, data)
 	}
 }
 
 func (s *jacobiState) ReduceVal(nc *exec.NodeCtx, sec int) []float64 {
-	return []float64{s.residual}
+	s.red[0] = s.residual
+	return s.red[:]
 }
 
 func (s *jacobiState) OnReduce(nc *exec.NodeCtx, sec int, vals []float64) {

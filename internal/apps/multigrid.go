@@ -119,6 +119,8 @@ type mgState struct {
 	residual               float64
 	// GlobalResidual is the reduction result, for verification.
 	GlobalResidual float64
+	// msg is BoundaryMsg's reusable payload; Send copies it.
+	msg []byte
 }
 
 // mgInitRow generates initial fine-row values; the workspace starts zero.
@@ -247,14 +249,16 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 
 func (s *mgState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
 	if dir > 0 {
-		return f64sToBytes(s.carry)
+		s.msg = f64sToBytesInto(s.msg, s.carry)
+	} else {
+		s.msg = f64sToBytesInto(s.msg, s.firstRow)
 	}
-	return f64sToBytes(s.firstRow)
+	return s.msg
 }
 
 func (s *mgState) OnBoundary(nc *exec.NodeCtx, sec, tile, dir int, data []byte) {
 	if dir < 0 {
-		s.halo[sec] = bytesToF64s(data)
+		s.halo[sec] = bytesToF64sInto(s.halo[sec], data)
 	}
 }
 

@@ -108,6 +108,8 @@ type rnaState struct {
 	// result for verification.
 	score       float64
 	GlobalScore float64
+	// msg is BoundaryMsg's reusable payload; Send copies it.
+	msg []byte
 }
 
 func (s *rnaState) Init(nc *exec.NodeCtx) {
@@ -172,11 +174,12 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 }
 
 func (s *rnaState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
-	return f64sToBytes(s.carryStrip)
+	s.msg = f64sToBytesInto(s.msg, s.carryStrip)
+	return s.msg
 }
 
 func (s *rnaState) OnBoundary(nc *exec.NodeCtx, sec, tile, dir int, data []byte) {
-	s.haloStrip = bytesToF64s(data)
+	s.haloStrip = bytesToF64sInto(s.haloStrip, data)
 }
 
 func (s *rnaState) ReduceVal(nc *exec.NodeCtx, sec int) []float64 {

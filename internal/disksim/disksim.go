@@ -132,14 +132,13 @@ type pendingRead struct {
 }
 
 // New builds a disk with the given parameters. A nil noise stream
-// disables perturbation.
+// disables perturbation. The extent store and the prefetch table are
+// created on first use: most ranks of a large emulation never prefetch.
 func New(p Params, noise *vclock.Noise) *Disk {
 	return &Disk{
 		params:     p,
 		noise:      noise,
 		contention: 1,
-		store:      make(map[string][]byte),
-		pending:    make(map[int]*pendingRead),
 	}
 }
 
@@ -166,11 +165,7 @@ func (d *Disk) SetMode(m Mode) { d.mode = m }
 func (d *Disk) GetMode() Mode { return d.mode }
 
 // Create allocates (or reallocates) a named extent of n bytes, zeroed.
-func (d *Disk) Create(name string, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.store[name] = make([]byte, n)
-}
+func (d *Disk) Create(name string, n int) { d.Store(name, make([]byte, n)) }
 
 // Store makes data the named extent without charging any time. It is
 // used to lay out initial datasets "already on disk" before a run starts,
@@ -184,6 +179,9 @@ func (d *Disk) Create(name string, n int) {
 func (d *Disk) Store(name string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.store == nil {
+		d.store = make(map[string][]byte)
+	}
 	d.store[name] = data
 }
 
@@ -303,7 +301,7 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	if d.mode == ModeInstrument {
 		d.slice(name, off, n) // bounds check; PrefetchWait copies the data
 		d.readWait(clk, n)
-		d.pending[tag] = &pendingRead{name: name, off: off, n: n, complete: clk.Now()}
+		d.track(tag, &pendingRead{name: name, off: off, n: n, complete: clk.Now()})
 		return tag
 	}
 	clk.Advance(d.params.IssueCost)
@@ -311,8 +309,16 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	complete := d.serviceTime(clk.Now(), cost)
 	d.BytesRead += int64(n)
 	d.Reads++
-	d.pending[tag] = &pendingRead{name: name, off: off, n: n, complete: complete}
+	d.track(tag, &pendingRead{name: name, off: off, n: n, complete: complete})
 	return tag
+}
+
+// track records an issued prefetch, creating the table on first use.
+func (d *Disk) track(tag int, p *pendingRead) {
+	if d.pending == nil {
+		d.pending = make(map[int]*pendingRead)
+	}
+	d.pending[tag] = p
 }
 
 // PrefetchWait blocks (in virtual time) until the prefetch identified by
@@ -341,7 +347,7 @@ func (d *Disk) OutstandingPrefetches() int { return len(d.pending) }
 // discarding stored data.
 func (d *Disk) ResetTiming() {
 	d.busyUntil = 0
-	d.pending = make(map[int]*pendingRead)
+	clear(d.pending)
 	d.nextTag = 0
 	d.Reads, d.Writes, d.Prefetches = 0, 0, 0
 	d.BytesRead, d.BytesWritten = 0, 0

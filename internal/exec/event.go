@@ -44,7 +44,10 @@ const (
 	pcDone
 )
 
-// evRank interprets one rank's program between park points.
+// evRank interprets one rank's program between park points. It lives
+// for the whole run, so it stays small: the receive in flight is held
+// by value, while a collective's state machine is allocated when the
+// collective starts and dropped when it ends.
 type evRank struct {
 	env *runEnv
 	r   *mpi.Rank
@@ -57,7 +60,7 @@ type evRank struct {
 
 	barrier *mpi.BarrierSM
 	allred  *mpi.AllreduceSM
-	recv    *mpi.RecvOp
+	recv    mpi.RecvOp
 }
 
 // runEvent drives all ranks from one scheduler until every rank
@@ -70,9 +73,10 @@ func (env *runEnv) runEvent() error {
 	env.w.BindScheduler(s)
 	defer env.w.UnbindScheduler()
 
-	machines := make([]*evRank, n)
-	for p := 0; p < n; p++ {
-		machines[p] = &evRank{env: env, r: env.w.Rank(p)}
+	machines := make([]evRank, n)
+	ncs := make([]NodeCtx, n)
+	for p := range machines {
+		machines[p] = evRank{env: env, r: env.w.Rank(p), nc: &ncs[p]}
 		s.Ready(p, 0)
 	}
 	remaining := n
@@ -84,7 +88,7 @@ func (env *runEnv) runEvent() error {
 			// runtime on the same input. Report instead of hanging.
 			return fmt.Errorf("exec: event engine deadlock with %d ranks unfinished: %s", remaining, s.DumpState())
 		}
-		if stepRank(machines[p]) {
+		if stepRank(&machines[p]) {
 			remaining--
 		}
 	}
@@ -113,7 +117,7 @@ func (m *evRank) step() bool {
 		switch m.pc {
 		case pcSetup:
 			// runGoroutine: setupRank + the aligning barrier.
-			m.nc = m.env.setupRank(m.r)
+			m.env.setupRank(m.nc, m.r)
 			m.barrier = &mpi.BarrierSM{Tag: 1 << 16}
 			m.pc = pcBarrier
 
@@ -172,6 +176,9 @@ func (m *evRank) step() bool {
 					if i < len(m.nc.actives)-1 {
 						m.r.Send(m.nc.actives[i+1], tag, m.nc.state.BoundaryMsg(m.nc, m.sec, 0, +1))
 					}
+					if i > 0 {
+						m.recv = mpi.RecvOp{Src: m.nc.actives[i-1], Tag: tag}
+					}
 					m.pc = pcNNRecvLeft
 				case program.CommReduction:
 					vals := m.nc.state.ReduceVal(m.nc, m.sec)
@@ -193,18 +200,17 @@ func (m *evRank) step() bool {
 				m.nc.jack.EnterTile(m.tile)
 			}
 			if m.nc.actIdx > 0 {
-				m.recv = &mpi.RecvOp{Src: m.nc.actives[m.nc.actIdx-1], Tag: sectionTag(m.sec)}
+				m.recv = mpi.RecvOp{Src: m.nc.actives[m.nc.actIdx-1], Tag: sectionTag(m.sec)}
 				m.pc = pcPipeRecv
 				continue
 			}
 			m.pipeBody(s)
 
 		case pcPipeRecv:
-			data, ok := m.r.TryRecv(m.recv)
+			data, ok := m.r.TryRecv(&m.recv)
 			if !ok {
 				return false
 			}
-			m.recv = nil
 			m.nc.state.OnBoundary(m.nc, m.sec, m.tile, -1, data)
 			m.pipeBody(&m.nc.Prog.Sections[m.sec])
 			m.pc = pcPipeTile
@@ -212,29 +218,23 @@ func (m *evRank) step() bool {
 		case pcNNRecvLeft:
 			i := m.nc.actIdx
 			if i > 0 {
-				if m.recv == nil {
-					m.recv = &mpi.RecvOp{Src: m.nc.actives[i-1], Tag: sectionTag(m.sec)}
-				}
-				data, ok := m.r.TryRecv(m.recv)
+				data, ok := m.r.TryRecv(&m.recv)
 				if !ok {
 					return false
 				}
-				m.recv = nil
 				m.nc.state.OnBoundary(m.nc, m.sec, 0, -1, data)
+			}
+			if i < len(m.nc.actives)-1 {
+				m.recv = mpi.RecvOp{Src: m.nc.actives[i+1], Tag: sectionTag(m.sec)}
 			}
 			m.pc = pcNNRecvRight
 
 		case pcNNRecvRight:
-			i := m.nc.actIdx
-			if i < len(m.nc.actives)-1 {
-				if m.recv == nil {
-					m.recv = &mpi.RecvOp{Src: m.nc.actives[i+1], Tag: sectionTag(m.sec)}
-				}
-				data, ok := m.r.TryRecv(m.recv)
+			if m.nc.actIdx < len(m.nc.actives)-1 {
+				data, ok := m.r.TryRecv(&m.recv)
 				if !ok {
 					return false
 				}
-				m.recv = nil
 				m.nc.state.OnBoundary(m.nc, m.sec, 0, +1, data)
 			}
 			m.pc = pcSectionEnd

@@ -61,12 +61,16 @@ type State interface {
 	Process(nc *NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64
 	// BoundaryMsg returns the payload this rank sends to its neighbour in
 	// direction dir (-1 up the chain, +1 down) for the given section and
-	// tile. Pipelined sections only use dir=+1.
+	// tile. Pipelined sections only use dir=+1. Send copies the payload
+	// before BoundaryMsg is called again, so an app may return the same
+	// buffer every time.
 	BoundaryMsg(nc *NodeCtx, sec, tile, dir int) []byte
-	// OnBoundary delivers a received boundary payload.
+	// OnBoundary delivers a received boundary payload. The app owns it:
+	// no other message shares its bytes, and appending reallocates.
 	OnBoundary(nc *NodeCtx, sec, tile, dir int, data []byte)
 	// ReduceVal returns this rank's contribution to the section-ending
-	// reduction; OnReduce receives the combined result.
+	// reduction, which the reduction copies, so it too may be a reused
+	// buffer; OnReduce receives the combined result.
 	ReduceVal(nc *NodeCtx, sec int) []float64
 	OnReduce(nc *NodeCtx, sec int, vals []float64)
 }
@@ -89,12 +93,14 @@ type NodeCtx struct {
 	Count int // rows owned
 	Iter  int // current iteration
 	// InCore holds memory-resident local arrays keyed by variable name,
-	// laid out tile-major (the on-disk layout).
+	// laid out tile-major (the on-disk layout). It is nil until the first
+	// in-core array is loaded.
 	InCore map[string][]byte
 
 	app     *App
 	state   State
-	plan    map[string]memsim.Layout
+	dvars   []program.Variable       // the program's distributed variables
+	plan    map[string]memsim.Layout // shared read-only with equal ranks
 	jack    *mpijack.Jack
 	rec     *mpijack.Recorder
 	tr      *trace.Trace
@@ -159,9 +165,11 @@ type runEnv struct {
 	d          dist.Distribution
 	opts       Options
 	iters      int
+	dvars      []program.Variable
 	actives    []int
-	actIdx     []int // actIdx[p]: position of rank p in actives, -1 if inactive
-	startOf    []int // startOf[p]: first global row of rank p (prefix sums of d)
+	actIdx     []int                      // actIdx[p]: position of rank p in actives, -1 if inactive
+	startOf    []int                      // startOf[p]: first global row of rank p (prefix sums of d)
+	plans      []map[string]memsim.Layout // plans[p]: rank p's residency plan
 	contention float64
 	recs       []*mpijack.Recorder
 	starts     []float64
@@ -186,8 +194,9 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 }
 
 // prepare validates inputs and computes everything both engines share:
-// iteration count, active ranks (with an O(1) per-rank index, not the
-// old O(n) scan per rank), row prefix sums, and shared-disk contention.
+// iteration count, the distributed variables, active ranks (with an O(1)
+// per-rank index, not the old O(n) scan per rank), row prefix sums,
+// residency plans, and shared-disk contention.
 func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv, error) {
 	if err := app.Prog.Validate(); err != nil {
 		return nil, err
@@ -213,6 +222,7 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 		d:          d,
 		opts:       opts,
 		iters:      iters,
+		dvars:      app.Prog.DistributedVars(),
 		actIdx:     make([]int, n),
 		startOf:    make([]int, n),
 		contention: 1.0,
@@ -231,31 +241,34 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 		}
 	}
 
+	instrument := opts.Mode == ModeInstrument
+	env.plans = residencyPlans(w.Spec(), env.dvars, d, instrument)
 	// Shared-disk contention (§3.2 extension): each of k concurrently
 	// streaming nodes sees the global disk k× slower. k is computed from
 	// the same residency rules the runtime applies, so it is
 	// deterministic and known to all ranks.
 	if w.Spec().SharedDisk {
-		env.contention = SharedDiskContention(w.Spec(), app.Prog, d, opts.Mode == ModeInstrument)
+		env.contention = contention(env.plans, env.dvars, d, instrument)
 	}
 	return env, nil
 }
 
-// setupRank builds rank r's NodeCtx, wires profilers and disk modes,
-// initialises application state, and performs the compulsory in-core
-// loads — everything that happens before the aligning barrier. All of
-// it is rank-local (Init and loadInCore only touch the rank's own clock
-// and disk), so both engines call it identically.
-func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
+// setupRank builds rank r's NodeCtx in nc, wires profilers and disk
+// modes, initialises application state, and performs the compulsory
+// in-core loads — everything that happens before the aligning barrier.
+// All of it is rank-local (Init and loadInCore only touch the rank's own
+// clock and disk), so both engines call it identically.
+func (env *runEnv) setupRank(nc *NodeCtx, r *mpi.Rank) {
 	p := r.Rank()
-	nc := &NodeCtx{
+	*nc = NodeCtx{
 		R:       r,
 		Prog:    env.app.Prog,
 		Dist:    env.d,
 		Start:   env.startOf[p],
 		Count:   env.d[p],
-		InCore:  make(map[string][]byte),
 		app:     env.app,
+		dvars:   env.dvars,
+		plan:    env.plans[p],
 		mode:    env.opts.Mode,
 		actIdx:  env.actIdx[p],
 		actives: env.actives,
@@ -280,9 +293,7 @@ func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 	r.Disk().SetContention(env.contention)
 	nc.state = env.app.NewState(nc)
 	nc.state.Init(nc)
-	nc.computeResidency()
 	nc.loadInCore()
-	return nc
 }
 
 // runGoroutine is the original core: one goroutine per rank, blocking
@@ -291,7 +302,8 @@ func (env *runEnv) runGoroutine() {
 	env.w.ResetClocks()
 	env.w.Run(func(r *mpi.Rank) {
 		p := r.Rank()
-		nc := env.setupRank(r)
+		nc := new(NodeCtx)
+		env.setupRank(nc, r)
 
 		// Align all ranks, then measure the iteration region.
 		r.Barrier(1 << 16)
@@ -330,25 +342,25 @@ func (env *runEnv) result() Result {
 // global-disk extension. In instrument mode all active ranks stream
 // (forced I/O, §4.1.1), so the factor is the active count.
 func SharedDiskContention(spec cluster.Spec, prog *program.Program, d dist.Distribution, instrumentMode bool) float64 {
+	dvars := prog.DistributedVars()
+	return contention(residencyPlans(spec, dvars, d, false), dvars, d, instrumentMode)
+}
+
+// contention is SharedDiskContention over residency plans already built
+// for d.
+func contention(plans []map[string]memsim.Layout, dvars []program.Variable, d dist.Distribution, instrumentMode bool) float64 {
 	k := 0
-	for p := range spec.Nodes {
-		if d[p] == 0 {
+	for p, count := range d {
+		if count == 0 {
 			continue
 		}
 		if instrumentMode {
-			if len(prog.DistributedVars()) > 0 {
+			if len(dvars) > 0 {
 				k++
 			}
 			continue
 		}
-		varBytes := make(map[string]int64)
-		elemSize := make(map[string]int64)
-		for _, v := range prog.DistributedVars() {
-			varBytes[v.Name] = int64(d[p]) * v.ElemBytes
-			elemSize[v.Name] = v.ElemBytes
-		}
-		plan := memsim.PlanGreedy(memsim.Budget{Capacity: spec.Nodes[p].MemoryBytes}, varBytes, elemSize)
-		for _, l := range plan {
+		for _, l := range plans[p] {
 			if !l.InCore {
 				k++
 				break
@@ -361,24 +373,47 @@ func SharedDiskContention(spec cluster.Spec, prog *program.Program, d dist.Distr
 	return float64(k)
 }
 
-// computeResidency runs the greedy (runtime-true) residency planner; in
-// instrument mode every distributed variable is then forced out of core so
-// all nodes measure I/O latencies for all variables (§4.1.1: "all nodes
-// are forced to perform I/O during the instrumented execution for any
-// distributed variables").
-func (nc *NodeCtx) computeResidency() {
+// residencyPlans returns each rank's runtime residency plan under d.
+// A plan depends only on the rank's row count and memory budget, so
+// ranks with equal pairs share one read-only map and the planner runs
+// once per distinct pair: once in all for a homogeneous Blk run.
+func residencyPlans(spec cluster.Spec, dvars []program.Variable, d dist.Distribution, instrumentMode bool) []map[string]memsim.Layout {
+	type key struct {
+		count int
+		mem   int64
+	}
+	memo := make(map[key]map[string]memsim.Layout)
+	plans := make([]map[string]memsim.Layout, len(d))
+	for p, count := range d {
+		k := key{count, spec.Nodes[p].MemoryBytes}
+		plan, ok := memo[k]
+		if !ok {
+			plan = residencyPlan(dvars, count, k.mem, instrumentMode)
+			memo[k] = plan
+		}
+		plans[p] = plan
+	}
+	return plans
+}
+
+// residencyPlan runs the greedy (runtime-true) residency planner for a
+// rank owning count rows with mem bytes of memory; in instrument mode
+// every distributed variable is then forced out of core so all nodes
+// measure I/O latencies for all variables (§4.1.1: "all nodes are forced
+// to perform I/O during the instrumented execution for any distributed
+// variables").
+func residencyPlan(dvars []program.Variable, count int, mem int64, instrumentMode bool) map[string]memsim.Layout {
 	varBytes := make(map[string]int64)
 	elemSize := make(map[string]int64)
-	for _, v := range nc.Prog.DistributedVars() {
-		varBytes[v.Name] = int64(nc.Count) * v.ElemBytes
+	for _, v := range dvars {
+		varBytes[v.Name] = int64(count) * v.ElemBytes
 		elemSize[v.Name] = v.ElemBytes
 	}
-	budget := memsim.Budget{Capacity: nc.R.MemoryBytes()}
-	nc.plan = memsim.PlanGreedy(budget, varBytes, elemSize)
-	if nc.mode != ModeInstrument {
-		return
+	plan := memsim.PlanGreedy(memsim.Budget{Capacity: mem}, varBytes, elemSize)
+	if !instrumentMode {
+		return plan
 	}
-	for name, l := range nc.plan {
+	for name, l := range plan {
 		if !l.InCore || l.OCLABytes == 0 {
 			continue
 		}
@@ -392,10 +427,10 @@ func (nc *NodeCtx) computeResidency() {
 		}
 		if half >= l.OCLABytes {
 			// One-element arrays: a single forced read still measures lr.
-			nc.plan[name] = memsim.Layout{Variable: name, OCLABytes: l.OCLABytes, ICLABytes: l.OCLABytes, Passes: 1, InCore: false}
+			plan[name] = memsim.Layout{Variable: name, OCLABytes: l.OCLABytes, ICLABytes: l.OCLABytes, Passes: 1, InCore: false}
 			continue
 		}
-		nc.plan[name] = memsim.Layout{
+		plan[name] = memsim.Layout{
 			Variable:  name,
 			OCLABytes: l.OCLABytes,
 			ICLABytes: half,
@@ -403,18 +438,22 @@ func (nc *NodeCtx) computeResidency() {
 			InCore:    false,
 		}
 	}
+	return plan
 }
 
 // loadInCore performs the compulsory read of each in-core local array
 // into memory — once, before the iteration loop, so steady-state
 // iterations incur no I/O for them (§3.1).
 func (nc *NodeCtx) loadInCore() {
-	for _, v := range nc.Prog.DistributedVars() {
+	for _, v := range nc.dvars {
 		l, ok := nc.plan[v.Name]
 		if !ok || !l.InCore || nc.Count == 0 {
 			continue
 		}
 		data := nc.R.FileRead(v.Name, 0, int(int64(nc.Count)*v.ElemBytes))
+		if nc.InCore == nil {
+			nc.InCore = make(map[string][]byte, len(nc.dvars))
+		}
 		nc.InCore[v.Name] = data
 	}
 }
@@ -426,7 +465,7 @@ func (nc *NodeCtx) loadInCore() {
 // emulator and the model measure. Store takes each array without a copy:
 // the run is over and nothing touches InCore again.
 func (nc *NodeCtx) flushInCore() {
-	for _, v := range nc.Prog.DistributedVars() {
+	for _, v := range nc.dvars {
 		if v.ReadOnly {
 			continue
 		}

@@ -160,12 +160,16 @@ func (nc *NodeCtx) runStage(si, sti, tile int, s *program.Section) {
 }
 
 // streamVar resolves the stage's streamed distributed variable, nil when
-// the stage only touches in-core or replicated data.
+// the stage only touches in-core or replicated data. It points into
+// Prog.Variables rather than copying, and panics on an unknown name.
 func (nc *NodeCtx) streamVar(st *program.Stage) *program.Variable {
 	for _, u := range st.Uses {
-		v := nc.Prog.MustVar(u.Name)
+		v, err := nc.Prog.VarRef(u.Name)
+		if err != nil {
+			panic(err)
+		}
 		if v.Distributed {
-			return &v
+			return v
 		}
 	}
 	return nil

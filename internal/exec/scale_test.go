@@ -62,3 +62,27 @@ func TestEventEngine10kRanks(t *testing.T) {
 	t.Logf("10k ranks: %v wall, %d events, %d sends, %d parks, max heap %d",
 		elapsed, st.Events, st.Sends, st.Parks, st.MaxHeap)
 }
+
+// TestEmulateAllocBudget pins the event engine's allocation budget: a
+// 1,000-rank Jacobi emulation, world set-up included, makes at most 20
+// allocations per rank. Wall time on a shared host is too noisy to gate
+// a speed-up on; allocation counts are exact, and they are what the
+// event core's speed comes from (DESIGN.md §5.13).
+func TestEmulateAllocBudget(t *testing.T) {
+	const ranks, budget = 1000, 20
+	cfg := apps.DefaultJacobiConfig()
+	cfg.Rows, cfg.Cols, cfg.Iterations = 2*ranks, 4, 2
+	app := apps.NewJacobi(cfg)
+	spec := uniformSpec(ranks, 1<<20)
+	d := dist.Block(cfg.Rows, ranks)
+	allocs := testing.AllocsPerRun(3, func() {
+		w := mpi.NewWorld(spec, 7, 0.02)
+		if _, err := exec.Run(w, app, d, exec.Options{Engine: exec.EngineEvent}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d ranks (%.1f per rank)", allocs, ranks, allocs/ranks)
+	if allocs > budget*ranks {
+		t.Errorf("%.1f allocations per rank, budget %d", allocs/ranks, budget)
+	}
+}

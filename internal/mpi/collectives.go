@@ -24,20 +24,37 @@ var (
 	OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
 )
 
-func encodeF64s(xs []float64) []byte {
-	b := make([]byte, 8*len(xs))
+// encode writes xs into the rank's scratch encoding buffer and returns
+// it. The buffer is reused by the next encode, which is safe because
+// Send copies its payload.
+func (r *Rank) encode(xs []float64) []byte {
+	if cap(r.enc) < 8*len(xs) {
+		r.enc = make([]byte, 8*len(xs))
+	}
+	b := r.enc[:8*len(xs)]
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return b
 }
 
-func decodeF64s(b []byte) []float64 {
-	xs := make([]float64, len(b)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// f64At decodes the float64 at element index i of an encoded vector.
+func f64At(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+}
+
+// decodeF64sInto decodes b into dst, reusing dst's storage when it is
+// large enough.
+func decodeF64sInto(dst []float64, b []byte) []float64 {
+	n := len(b) / 8
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return xs
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = f64At(b, i)
+	}
+	return dst
 }
 
 // Reduce combines each rank's vals element-wise with op onto the root
@@ -45,8 +62,8 @@ func decodeF64s(b []byte) []float64 {
 // the combined vector. Every rank in the world must call Reduce with the
 // same tag, root, op and length.
 func (r *Rank) Reduce(root, tag int, op ReduceOp, vals []float64) []float64 {
-	ci := &CallInfo{Kind: CallReduce, Peer: root, Bytes: 8 * len(vals), Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallReduce, Peer: root, Bytes: 8 * len(vals), Tag: tag}
+	start := r.begin(c)
 	acc := append([]float64(nil), vals...)
 	n := r.Size()
 	// Work in root-relative rank space so any root works.
@@ -55,27 +72,27 @@ func (r *Rank) Reduce(root, tag int, op ReduceOp, vals []float64) []float64 {
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			parent := ((rel - mask) + root) % n
-			r.Send(parent, itag, encodeF64s(acc))
+			r.Send(parent, itag, r.encode(acc))
 			acc = nil
 			break
 		}
 		if rel+mask < n {
 			child := (rel + mask + root) % n
-			got := decodeF64s(r.Recv(child, itag))
+			got := r.Recv(child, itag)
 			for i := range acc {
-				acc[i] = op(acc[i], got[i])
+				acc[i] = op(acc[i], f64At(got, i))
 			}
 		}
 	}
-	r.post(ci)
+	r.end(c, start)
 	return acc
 }
 
 // Bcast distributes vals from root to all ranks over a binomial tree and
 // returns the received (or original, on root) vector.
 func (r *Rank) Bcast(root, tag int, vals []float64) []float64 {
-	ci := &CallInfo{Kind: CallBcast, Peer: root, Bytes: 8 * len(vals), Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallBcast, Peer: root, Bytes: 8 * len(vals), Tag: tag}
+	start := r.begin(c)
 	n := r.Size()
 	rel := (r.rank - root + n) % n
 	itag := reservedTagBase + (1 << 20) + tag
@@ -84,7 +101,7 @@ func (r *Rank) Bcast(root, tag int, vals []float64) []float64 {
 	for mask < n {
 		if rel&mask != 0 {
 			parent := ((rel &^ mask) + root) % n
-			vals = decodeF64s(r.Recv(parent, itag))
+			vals = decodeF64sInto(nil, r.Recv(parent, itag))
 			break
 		}
 		mask <<= 1
@@ -93,10 +110,10 @@ func (r *Rank) Bcast(root, tag int, vals []float64) []float64 {
 	for mask >>= 1; mask >= 1; mask >>= 1 {
 		if rel+mask < n && rel&(mask-1) == 0 && rel&mask == 0 {
 			child := (rel + mask + root) % n
-			r.Send(child, itag, encodeF64s(vals))
+			r.Send(child, itag, r.encode(vals))
 		}
 	}
-	r.post(ci)
+	r.end(c, start)
 	return vals
 }
 
@@ -112,10 +129,10 @@ func (r *Rank) Allreduce(tag int, op ReduceOp, vals []float64) []float64 {
 
 // Barrier synchronises all ranks: an empty Allreduce.
 func (r *Rank) Barrier(tag int) {
-	ci := &CallInfo{Kind: CallBarrier, Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallBarrier, Tag: tag}
+	start := r.begin(c)
 	r.Allreduce(tag+(1<<21), OpSum, nil)
-	r.post(ci)
+	r.end(c, start)
 }
 
 // BcastBytes distributes raw bytes from root (used for data placement
@@ -123,8 +140,8 @@ func (r *Rank) Barrier(tag int) {
 func (r *Rank) BcastBytes(root, tag int, data []byte) []byte {
 	// Reuse the float64 tree by padding to 8-byte multiples would distort
 	// sizes; implement directly instead.
-	ci := &CallInfo{Kind: CallBcast, Peer: root, Bytes: len(data), Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallBcast, Peer: root, Bytes: len(data), Tag: tag}
+	start := r.begin(c)
 	n := r.Size()
 	rel := (r.rank - root + n) % n
 	itag := reservedTagBase + (1 << 22) + tag
@@ -143,7 +160,7 @@ func (r *Rank) BcastBytes(root, tag int, data []byte) []byte {
 			r.Send(child, itag, data)
 		}
 	}
-	r.post(ci)
+	r.end(c, start)
 	return data
 }
 

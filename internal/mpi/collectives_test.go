@@ -191,7 +191,12 @@ func TestReduceNaNSafety(t *testing.T) {
 
 func TestEncodeDecodeF64s(t *testing.T) {
 	in := []float64{0, -1.5, math.Pi, math.MaxFloat64}
-	out := decodeF64s(encodeF64s(in))
+	var r Rank
+	buf := make([]float64, 8)
+	out := decodeF64sInto(buf, r.encode(in))
+	if len(out) != len(in) || &out[0] != &buf[0] {
+		t.Fatalf("decode into a large enough buffer: len %d, reused %v", len(out), &out[0] == &buf[0])
+	}
 	for i := range in {
 		if in[i] != out[i] {
 			t.Fatalf("roundtrip[%d] = %v, want %v", i, out[i], in[i])

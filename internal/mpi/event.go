@@ -28,23 +28,28 @@ package mpi
 // order the scheduler picks yields the same clocks, traces and
 // recorder contents.
 
-import "mheta/internal/sched"
+import (
+	"mheta/internal/sched"
+	"mheta/internal/vclock"
+)
 
-// RecvOp is one event-mode receive in flight. The zero value with Src
-// and Tag set is ready for the first TryRecv; the op keeps the pre-fired
-// CallInfo across park/resume so profiler hooks fire exactly once per
-// logical receive, like Recv.
+// RecvOp is one event-mode receive in flight. Set Src and Tag, then
+// call TryRecv until it succeeds; the op fires the profiler's Pre hook
+// on the first attempt only and keeps its start time across parks, so
+// hooks fire exactly once per logical receive, like Recv. A completed op
+// is ready for the next receive.
 type RecvOp struct {
 	Src, Tag int
-	ci       CallInfo
 	started  bool
+	start    vclock.Time
 }
 
 // TryRecv attempts the receive described by op. On a match it performs
 // the full Recv timing (wait to arrival, charge or(m), Post hook) and
-// returns the payload. On a miss it parks the rank on (src, tag) in the
-// bound scheduler and returns false; the driver must suspend the rank
-// until the scheduler dispatches it again, then retry the same op.
+// returns the payload, which the scheduler copied at Send and the caller
+// now owns. On a miss it parks the rank on (src, tag) in the bound
+// scheduler and returns false; the driver must suspend the rank until
+// the scheduler dispatches it again, then retry the same op.
 func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 	s := r.world.sched
 	if s == nil {
@@ -53,9 +58,9 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 	if op.Src == r.rank {
 		panic("mpi: Recv from self")
 	}
+	c := CallInfo{Kind: CallRecv, Peer: op.Src, Tag: op.Tag}
 	if !op.started {
-		op.ci = CallInfo{Kind: CallRecv, Peer: op.Src, Tag: op.Tag}
-		r.pre(&op.ci)
+		op.start = r.begin(c)
 		op.started = true
 	}
 	m, ok := s.TryRecv(op.Src, r.rank, op.Tag)
@@ -63,29 +68,39 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 		s.Park(r.rank, op.Src, op.Tag, r.clk.Now())
 		return nil, false
 	}
-	op.ci.Bytes = len(m.Data)
-	op.ci.Wait = r.clk.WaitUntil(m.Arrival)
+	op.started = false
+	c.Bytes = len(m.Data)
+	c.Wait = r.clk.WaitUntil(m.Arrival)
 	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(op.Src, r.rank, len(m.Data))))
-	r.post(&op.ci)
+	r.end(c, op.start)
 	return m.Data, true
 }
 
 // Scheduler returns the bound scheduler, or nil outside event mode.
 func (w *World) Scheduler() *sched.Scheduler { return w.sched }
 
+// The collective state machines below are allocated per collective and
+// dropped when it completes. While a barrier is in flight every rank
+// holds one, so they keep a start time rather than a CallInfo.
+
 // ReduceSM is Reduce as a resumable state machine: same binomial tree,
 // same internal tag, same hook sequence. Step returns false when the
-// rank parked mid-tree; retry after the scheduler redisppatches.
+// rank parked mid-tree; retry after the scheduler redispatches.
 type ReduceSM struct {
 	Root, Tag int
 	Op        ReduceOp
 	Vals      []float64
 
 	started bool
-	ci      CallInfo
+	sent    bool // this rank passed its partial vector to its parent
+	start   vclock.Time
 	acc     []float64
 	mask    int
-	recv    *RecvOp
+	recv    RecvOp
+}
+
+func (s *ReduceSM) call() CallInfo {
+	return CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
 }
 
 // Step advances the reduction until it completes (true) or parks
@@ -93,8 +108,7 @@ type ReduceSM struct {
 func (s *ReduceSM) Step(r *Rank) bool {
 	n := r.Size()
 	if !s.started {
-		s.ci = CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
-		r.pre(&s.ci)
+		s.start = r.begin(s.call())
 		s.acc = append([]float64(nil), s.Vals...)
 		s.mask = 1
 		s.started = true
@@ -104,46 +118,52 @@ func (s *ReduceSM) Step(r *Rank) bool {
 	for ; s.mask < n; s.mask <<= 1 {
 		if rel&s.mask != 0 {
 			parent := ((rel - s.mask) + s.Root) % n
-			r.Send(parent, itag, encodeF64s(s.acc))
-			s.acc = nil
+			r.Send(parent, itag, r.encode(s.acc))
+			s.sent = true
 			break
 		}
 		if rel+s.mask < n {
-			child := (rel + s.mask + s.Root) % n
-			if s.recv == nil {
-				s.recv = &RecvOp{Src: child, Tag: itag}
-			}
-			data, ok := r.TryRecv(s.recv)
+			s.recv.Src, s.recv.Tag = (rel+s.mask+s.Root)%n, itag
+			data, ok := r.TryRecv(&s.recv)
 			if !ok {
 				return false
 			}
-			s.recv = nil
-			got := decodeF64s(data)
 			for i := range s.acc {
-				s.acc[i] = s.Op(s.acc[i], got[i])
+				s.acc[i] = s.Op(s.acc[i], f64At(data, i))
 			}
 		}
 	}
-	r.post(&s.ci)
+	r.end(s.call(), s.start)
 	return true
 }
 
 // Result returns the combined vector on the root, nil elsewhere
 // (Reduce's contract). Valid once Step returned true.
-func (s *ReduceSM) Result() []float64 { return s.acc }
+func (s *ReduceSM) Result() []float64 {
+	if s.sent {
+		return nil
+	}
+	return s.acc
+}
 
 // BcastSM is Bcast as a resumable state machine (one park point: the
-// receive from the parent; forwarding to children never blocks).
+// receive from the parent; forwarding to children never blocks). On
+// non-root ranks Vals sizes the call and its storage receives the root's
+// vector; AllreduceSM passes a buffer of its own.
 type BcastSM struct {
 	Root, Tag int
 	Vals      []float64
 
 	started    bool
-	ci         CallInfo
+	start      vclock.Time
 	mask       int
 	forwarding bool
-	recv       *RecvOp
+	recv       RecvOp
 	vals       []float64
+}
+
+func (s *BcastSM) call() CallInfo {
+	return CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
 }
 
 // Step advances the broadcast until it completes (true) or parks
@@ -153,8 +173,7 @@ func (s *BcastSM) Step(r *Rank) bool {
 	rel := (r.rank - s.Root + n) % n
 	itag := reservedTagBase + (1 << 20) + s.Tag
 	if !s.started {
-		s.ci = CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
-		r.pre(&s.ci)
+		s.start = r.begin(s.call())
 		s.vals = s.Vals
 		s.mask = 1
 		s.started = true
@@ -162,16 +181,12 @@ func (s *BcastSM) Step(r *Rank) bool {
 	if !s.forwarding {
 		for s.mask < n {
 			if rel&s.mask != 0 {
-				parent := ((rel &^ s.mask) + s.Root) % n
-				if s.recv == nil {
-					s.recv = &RecvOp{Src: parent, Tag: itag}
-				}
-				data, ok := r.TryRecv(s.recv)
+				s.recv.Src, s.recv.Tag = ((rel&^s.mask)+s.Root)%n, itag
+				data, ok := r.TryRecv(&s.recv)
 				if !ok {
 					return false
 				}
-				s.recv = nil
-				s.vals = decodeF64s(data)
+				s.vals = decodeF64sInto(s.Vals, data)
 				break
 			}
 			s.mask <<= 1
@@ -182,10 +197,10 @@ func (s *BcastSM) Step(r *Rank) bool {
 	for ; s.mask >= 1; s.mask >>= 1 {
 		if rel+s.mask < n && rel&(s.mask-1) == 0 && rel&s.mask == 0 {
 			child := (rel + s.mask + s.Root) % n
-			r.Send(child, itag, encodeF64s(s.vals))
+			r.Send(child, itag, r.encode(s.vals))
 		}
 	}
-	r.post(&s.ci)
+	r.end(s.call(), s.start)
 	return true
 }
 
@@ -193,31 +208,33 @@ func (s *BcastSM) Step(r *Rank) bool {
 func (s *BcastSM) Result() []float64 { return s.vals }
 
 // AllreduceSM composes ReduceSM to rank 0 with BcastSM from rank 0,
-// exactly like Allreduce.
+// exactly like Allreduce. Both halves are embedded, and the broadcast
+// reuses the reduction's accumulator as its buffer, so an allreduce
+// allocates at most that one vector beyond the machine itself.
 type AllreduceSM struct {
 	Tag  int
 	Op   ReduceOp
 	Vals []float64
 
-	reduce *ReduceSM
-	bcast  *BcastSM
+	reduce  ReduceSM
+	bcast   BcastSM
+	reduced bool
 }
 
 // Step advances the allreduce until it completes (true) or parks
 // (false).
 func (s *AllreduceSM) Step(r *Rank) bool {
-	if s.bcast == nil {
-		if s.reduce == nil {
-			s.reduce = &ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals}
+	if !s.reduced {
+		if !s.reduce.started {
+			s.reduce = ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals}
 		}
 		if !s.reduce.Step(r) {
 			return false
 		}
-		acc := s.reduce.Result()
-		if r.rank != 0 {
-			acc = make([]float64, len(s.Vals))
-		}
-		s.bcast = &BcastSM{Root: 0, Tag: s.Tag, Vals: acc}
+		// Root: the combined vector. Elsewhere: a len(Vals) buffer the
+		// broadcast overwrites, as Allreduce's fresh zero vector is.
+		s.bcast = BcastSM{Root: 0, Tag: s.Tag, Vals: s.reduce.acc}
+		s.reduced = true
 	}
 	return s.bcast.Step(r)
 }
@@ -232,21 +249,21 @@ type BarrierSM struct {
 	Tag int
 
 	started bool
-	ci      CallInfo
-	all     *AllreduceSM
+	start   vclock.Time
+	all     AllreduceSM
 }
 
 // Step advances the barrier until it completes (true) or parks (false).
 func (s *BarrierSM) Step(r *Rank) bool {
+	c := CallInfo{Kind: CallBarrier, Tag: s.Tag}
 	if !s.started {
-		s.ci = CallInfo{Kind: CallBarrier, Tag: s.Tag}
-		r.pre(&s.ci)
-		s.all = &AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum, Vals: nil}
+		s.start = r.begin(c)
+		s.all = AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum}
 		s.started = true
 	}
 	if !s.all.Step(r) {
 		return false
 	}
-	r.post(&s.ci)
+	r.end(c, s.start)
 	return true
 }

@@ -9,19 +9,19 @@ package mpi
 // FileRead synchronously reads n bytes of variable v at byte offset off
 // from the rank's local disk and returns them.
 func (r *Rank) FileRead(v string, off, n int) []byte {
-	ci := &CallInfo{Kind: CallFileRead, Var: v, Bytes: n}
-	r.pre(ci)
-	data, _ := r.disk.Read(r.clk, v, off, n)
-	r.post(ci)
+	c := CallInfo{Kind: CallFileRead, Var: v, Bytes: n}
+	start := r.begin(c)
+	data, _ := r.disk.Read(&r.clk, v, off, n)
+	r.end(c, start)
 	return data
 }
 
 // FileWrite synchronously writes data into variable v at byte offset off.
 func (r *Rank) FileWrite(v string, off int, data []byte) {
-	ci := &CallInfo{Kind: CallFileWrite, Var: v, Bytes: len(data)}
-	r.pre(ci)
-	r.disk.Write(r.clk, v, off, data)
-	r.post(ci)
+	c := CallInfo{Kind: CallFileWrite, Var: v, Bytes: len(data)}
+	start := r.begin(c)
+	r.disk.Write(&r.clk, v, off, data)
+	r.end(c, start)
 }
 
 // FilePrefetchIssue starts an asynchronous read of variable v and returns
@@ -29,10 +29,10 @@ func (r *Rank) FileWrite(v string, off int, data []byte) {
 // (disksim.ModeInstrument) the issue blocks like a synchronous read, as in
 // Figure 5.
 func (r *Rank) FilePrefetchIssue(v string, off, n int) int {
-	ci := &CallInfo{Kind: CallPrefetchIssue, Var: v, Bytes: n}
-	r.pre(ci)
-	tag := r.disk.PrefetchIssue(r.clk, v, off, n)
-	r.post(ci)
+	c := CallInfo{Kind: CallPrefetchIssue, Var: v, Bytes: n}
+	start := r.begin(c)
+	tag := r.disk.PrefetchIssue(&r.clk, v, off, n)
+	r.end(c, start)
 	return tag
 }
 
@@ -40,11 +40,11 @@ func (r *Rank) FilePrefetchIssue(v string, off, n int) int {
 // data. The CallInfo's Wait field carries the unmasked latency (zero when
 // overlap computation fully hid the read — the Le = 0 case of Equation 2).
 func (r *Rank) FilePrefetchWait(v string, tag int) []byte {
-	ci := &CallInfo{Kind: CallPrefetchWait, Var: v}
-	r.pre(ci)
-	data, waited := r.disk.PrefetchWait(r.clk, tag)
-	ci.Bytes = len(data)
-	ci.Wait = waited
-	r.post(ci)
+	c := CallInfo{Kind: CallPrefetchWait, Var: v}
+	start := r.begin(c)
+	data, waited := r.disk.PrefetchWait(&r.clk, tag)
+	c.Bytes = len(data)
+	c.Wait = waited
+	r.end(c, start)
 	return data
 }

@@ -1,12 +1,23 @@
 // Package mpi is the message-passing runtime the applications run on: an
 // in-process analogue of LAM-MPI (the paper's substrate) in which each
-// rank is a goroutine with its own virtual clock, disk, and noise streams.
+// rank has its own virtual clock, disk, and noise streams.
+//
+// Two engines drive the ranks. The goroutine engine (World.Run) runs
+// each rank on its own goroutine, delivering through blocking
+// per-(src,dst) mailboxes. The event engine (BindScheduler plus the
+// resumable operations in event.go) runs every rank from one driver
+// goroutine that dispatches from internal/sched's event heap: a receive
+// that finds no message parks the rank instead of blocking. Either way a
+// rank's operations run on one goroutine at a time, so per-rank state
+// (clock, noise streams, the CallInfo its profiler hooks receive) needs
+// no locking.
 //
 // Timing semantics mirror what MHETA models (§4.2.2):
 //
 //   - Send charges the sender os(m) = fixed overhead + per-byte copy cost
 //     and is asynchronous — the message is buffered, the sender never
-//     blocks ("both nodes perform their sends before blocking").
+//     blocks ("both nodes perform their sends before blocking"). Send
+//     copies the payload, so the caller may reuse its buffer at once.
 //   - A message becomes available at the receiver at
 //     sendFinish + transferTime.
 //   - Recv blocks (in virtual time) until availability, then charges the
@@ -15,10 +26,11 @@
 //     virtual-time behaviour follows from the point-to-point rules and the
 //     model can reproduce it arithmetically.
 //
-// Cross-goroutine coupling happens only through message timestamps, which
+// Cross-rank coupling happens only through message timestamps, which
 // is sufficient because the applications' communication is deterministic:
 // every Recv names its source and tag, so matching is unambiguous and the
-// virtual-time outcome is independent of the host scheduler.
+// virtual-time outcome is independent of the host scheduler or of the
+// order the event heap dispatches ranks in.
 package mpi
 
 import (
@@ -88,7 +100,9 @@ type CallInfo struct {
 func (c *CallInfo) Duration() vclock.Duration { return vclock.Duration(c.End - c.Start) }
 
 // Profiler intercepts runtime calls, PMPI-style. Implementations must be
-// cheap; they run on every operation of the instrumented rank.
+// cheap; they run on every operation of the instrumented rank. The
+// CallInfo a hook receives is the rank's scratch, valid only until the
+// hook returns: a profiler copies what it keeps.
 type Profiler interface {
 	Pre(*CallInfo)
 	Post(*CallInfo)
@@ -142,9 +156,11 @@ func (m *mailbox) take(tag int) message {
 
 // World is one emulated cluster run: ranks, mailboxes, network and disks.
 type World struct {
-	spec  cluster.Spec
-	net   *netsim.Network
-	ranks []*Rank
+	spec cluster.Spec
+	net  *netsim.Network
+	// ranks is flat, each rank holding its clock and noise streams by
+	// value: a world allocates its ranks in one piece plus a disk each.
+	ranks []Rank
 	// Mailboxes are created lazily per communicating (src,dst) pair: the
 	// applications' patterns (chains, binomial trees) touch O(n·log n)
 	// pairs, so eager n² allocation would dominate memory at 10k+ ranks.
@@ -171,20 +187,19 @@ func NewWorld(spec cluster.Spec, seed uint64, noiseAmp float64) *World {
 		spec:  spec,
 		net:   netsim.New(n, spec.Net, nil),
 		boxes: make(map[uint64]*mailbox),
-		ranks: make([]*Rank, n),
+		ranks: make([]Rank, n),
 	}
-	for r := 0; r < n; r++ {
-		nodeNoise := root.Fork(uint64(r) + 1)
-		w.ranks[r] = &Rank{
-			world:    w,
-			rank:     r,
-			clk:      vclock.NewClock(),
-			disk:     disksim.New(spec.DiskParams(r), nodeNoise.Fork(1)),
-			compNz:   nodeNoise.Fork(2),
-			netNz:    nodeNoise.Fork(3),
-			cpuPower: spec.Nodes[r].CPUPower,
-			memBytes: spec.Nodes[r].MemoryBytes,
-		}
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		nodeNoise := root.Fork(uint64(i) + 1)
+		r.world = w
+		r.rank = i
+		r.diskNz = *nodeNoise.Fork(1)
+		r.disk = disksim.New(spec.DiskParams(i), &r.diskNz)
+		r.compNz = *nodeNoise.Fork(2)
+		r.netNz = *nodeNoise.Fork(3)
+		r.cpuPower = spec.Nodes[i].CPUPower
+		r.memBytes = spec.Nodes[i].MemoryBytes
 	}
 	return w
 }
@@ -197,7 +212,7 @@ func (w *World) Spec() cluster.Spec { return w.spec }
 
 // Rank returns rank r's handle (for pre-run data placement and post-run
 // inspection).
-func (w *World) Rank(r int) *Rank { return w.ranks[r] }
+func (w *World) Rank(r int) *Rank { return &w.ranks[r] }
 
 // Run executes fn once per rank, concurrently, and returns each rank's
 // final virtual time. It panics if any rank panics (after all finish or
@@ -219,7 +234,7 @@ func (w *World) Run(fn func(r *Rank)) []vclock.Time {
 				}
 			}()
 			fn(r)
-		}(w.ranks[i])
+		}(&w.ranks[i])
 	}
 	wg.Wait()
 	for r, p := range panics {
@@ -228,8 +243,8 @@ func (w *World) Run(fn func(r *Rank)) []vclock.Time {
 		}
 	}
 	times := make([]vclock.Time, w.Size())
-	for i, r := range w.ranks {
-		times[i] = r.clk.Now()
+	for i := range w.ranks {
+		times[i] = w.ranks[i].clk.Now()
 	}
 	return times
 }
@@ -237,9 +252,9 @@ func (w *World) Run(fn func(r *Rank)) []vclock.Time {
 // ResetClocks rewinds every rank's clock and disk service queue so the
 // same world (with data already on disk) can run another phase.
 func (w *World) ResetClocks() {
-	for _, r := range w.ranks {
-		r.clk.Reset()
-		r.disk.ResetTiming()
+	for i := range w.ranks {
+		w.ranks[i].clk.Reset()
+		w.ranks[i].disk.ResetTiming()
 	}
 	w.boxMu.Lock()
 	w.boxes = make(map[uint64]*mailbox)
@@ -286,13 +301,23 @@ func (w *World) UnbindScheduler() { w.sched = nil }
 type Rank struct {
 	world    *World
 	rank     int
-	clk      *vclock.Clock
+	clk      vclock.Clock
 	disk     *disksim.Disk
-	compNz   *vclock.Noise
-	netNz    *vclock.Noise
+	diskNz   vclock.Noise // the disk's stream; disk holds a pointer to it
+	compNz   vclock.Noise
+	netNz    vclock.Noise
 	cpuPower float64
 	memBytes int64
 	prof     Profiler
+	// ci is the CallInfo every profiler hook of this rank receives.
+	// Operations describe themselves by value and copy into it only to
+	// call a hook (begin/end), so no operation allocates one. A rank's
+	// operations run on one goroutine at a time under either engine and
+	// no profiler keeps the pointer past its hook, so one per rank
+	// suffices even though collectives nest.
+	ci CallInfo
+	// enc is the collectives' scratch for encoding a vector to send.
+	enc []byte
 	// Interference models a non-dedicated environment (§3.2 assumes a
 	// dedicated one and defers multiprogramming to future work): external
 	// load steals CPU, inflating compute times by a deterministic,
@@ -313,7 +338,7 @@ func (r *Rank) Size() int { return r.world.Size() }
 func (r *Rank) Now() vclock.Time { return r.clk.Now() }
 
 // Clock exposes the rank's clock (for harness bookkeeping).
-func (r *Rank) Clock() *vclock.Clock { return r.clk }
+func (r *Rank) Clock() *vclock.Clock { return &r.clk }
 
 // Disk exposes the rank's local disk (for data placement and assertions).
 func (r *Rank) Disk() *disksim.Disk { return r.disk }
@@ -327,18 +352,27 @@ func (r *Rank) MemoryBytes() int64 { return r.memBytes }
 // SetProfiler attaches a profiling layer (nil detaches).
 func (r *Rank) SetProfiler(p Profiler) { r.prof = p }
 
-func (r *Rank) pre(ci *CallInfo) {
-	ci.Rank = r.rank
-	ci.Start = r.clk.Now()
+// begin fires the Pre hook for the operation c and returns its start
+// time, which the operation keeps for end.
+func (r *Rank) begin(c CallInfo) vclock.Time {
+	c.Rank = r.rank
+	c.Start = r.clk.Now()
 	if r.prof != nil {
-		r.prof.Pre(ci)
+		r.ci = c
+		r.prof.Pre(&r.ci)
 	}
+	return c.Start
 }
 
-func (r *Rank) post(ci *CallInfo) {
-	ci.End = r.clk.Now()
+// end fires the Post hook for the operation c that began at start; c
+// carries whatever the operation learned meanwhile (Bytes, Wait).
+func (r *Rank) end(c CallInfo, start vclock.Time) {
 	if r.prof != nil {
-		r.prof.Post(ci)
+		c.Rank = r.rank
+		c.Start = start
+		c.End = r.clk.Now()
+		r.ci = c
+		r.prof.Post(&r.ci)
 	}
 }
 
@@ -377,13 +411,13 @@ func (r *Rank) interferenceFactor() float64 {
 // work is in abstract units; unitCost is the application's
 // seconds-per-unit on a power-1.0 node.
 func (r *Rank) Compute(work, unitCost float64) {
-	ci := &CallInfo{Kind: CallCompute}
-	r.pre(ci)
+	c := CallInfo{Kind: CallCompute}
+	start := r.begin(c)
 	if work > 0 {
 		d := vclock.Duration(work * unitCost / r.cpuPower * r.interferenceFactor())
 		r.clk.Advance(r.compNz.Perturb(d))
 	}
-	r.post(ci)
+	r.end(c, start)
 }
 
 // Send transmits data to rank dst with the given tag. It charges the
@@ -392,17 +426,19 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	if dst == r.rank {
 		panic("mpi: Send to self")
 	}
-	ci := &CallInfo{Kind: CallSend, Peer: dst, Bytes: len(data), Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallSend, Peer: dst, Bytes: len(data), Tag: tag}
+	start := r.begin(c)
 	r.clk.Advance(r.netNz.Perturb(r.world.net.SendCost(r.rank, dst, len(data))))
 	arrival := r.clk.Now() + vclock.Time(r.netNz.Perturb(r.world.net.TransferTime(r.rank, dst, len(data))))
-	payload := append([]byte(nil), data...)
+	// Both paths copy the payload: the scheduler into its arena, the
+	// mailbox into a buffer of its own.
 	if s := r.world.sched; s != nil {
-		s.Send(r.rank, dst, sched.Msg{Tag: tag, Data: payload, Arrival: arrival})
+		s.Send(r.rank, dst, sched.Msg{Tag: tag, Data: data, Arrival: arrival})
 	} else {
+		payload := append([]byte(nil), data...)
 		r.world.box(r.rank, dst).put(message{tag: tag, data: payload, arrival: arrival})
 	}
-	r.post(ci)
+	r.end(c, start)
 }
 
 // Recv blocks until a matching message from src arrives, advances the
@@ -414,13 +450,13 @@ func (r *Rank) Recv(src, tag int) []byte {
 	if r.world.sched != nil {
 		panic("mpi: blocking Recv under the event engine; drivers must use TryRecv")
 	}
-	ci := &CallInfo{Kind: CallRecv, Peer: src, Tag: tag}
-	r.pre(ci)
+	c := CallInfo{Kind: CallRecv, Peer: src, Tag: tag}
+	start := r.begin(c)
 	msg := r.world.box(src, r.rank).take(tag)
-	ci.Bytes = len(msg.data)
-	ci.Wait = r.clk.WaitUntil(msg.arrival)
+	c.Bytes = len(msg.data)
+	c.Wait = r.clk.WaitUntil(msg.arrival)
 	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(src, r.rank, len(msg.data))))
-	r.post(ci)
+	r.end(c, start)
 	return msg.data
 }
 

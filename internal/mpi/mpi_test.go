@@ -6,6 +6,7 @@ import (
 
 	"mheta/internal/cluster"
 	"mheta/internal/netsim"
+	"mheta/internal/sched"
 	"mheta/internal/vclock"
 )
 
@@ -431,4 +432,51 @@ func TestCallInfoDuration(t *testing.T) {
 	if ci.Duration() != 2.5 {
 		t.Fatalf("Duration %v", ci.Duration())
 	}
+}
+
+// TestSendBufferReuse pins Send's ownership contract under both engines:
+// Send copies the payload, so a sender that overwrites its buffer for
+// the next message does not change what the receiver gets.
+func TestSendBufferReuse(t *testing.T) {
+	send := func(r *Rank) {
+		buf := []byte{1, 2, 3}
+		r.Send(1, 1, buf)
+		copy(buf, []byte{4, 5, 6})
+		r.Send(1, 1, buf)
+		clear(buf)
+	}
+	check := func(t *testing.T, got [][]byte) {
+		t.Helper()
+		if len(got) != 2 || string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
+			t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]", got)
+		}
+	}
+	t.Run("goroutine", func(t *testing.T) {
+		w := NewWorld(testSpec(2), 1, 0)
+		var got [][]byte
+		w.Run(func(r *Rank) {
+			if r.Rank() == 0 {
+				send(r)
+				return
+			}
+			r.Compute(1, 1)
+			got = append(got, r.Recv(0, 1), r.Recv(0, 1))
+		})
+		check(t, got)
+	})
+	t.Run("event", func(t *testing.T) {
+		w := NewWorld(testSpec(2), 1, 0)
+		w.BindScheduler(sched.New(2))
+		send(w.Rank(0))
+		var got [][]byte
+		for range 2 {
+			op := RecvOp{Src: 0, Tag: 1}
+			data, ok := w.Rank(1).TryRecv(&op)
+			if !ok {
+				t.Fatal("TryRecv missed a sent message")
+			}
+			got = append(got, data)
+		}
+		check(t, got)
+	})
 }

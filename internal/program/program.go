@@ -139,12 +139,22 @@ func (p *Program) IterWeight(i int) float64 {
 // Var returns the named variable, or an error naming the program for
 // context.
 func (p *Program) Var(name string) (Variable, error) {
-	for _, v := range p.Variables {
-		if v.Name == name {
-			return v, nil
+	v, err := p.VarRef(name)
+	if err != nil {
+		return Variable{}, err
+	}
+	return *v, nil
+}
+
+// VarRef is Var without the copy: a pointer into p.Variables, which the
+// caller must treat as read-only.
+func (p *Program) VarRef(name string) (*Variable, error) {
+	for i := range p.Variables {
+		if p.Variables[i].Name == name {
+			return &p.Variables[i], nil
 		}
 	}
-	return Variable{}, fmt.Errorf("program %q: unknown variable %q", p.Name, name)
+	return nil, fmt.Errorf("program %q: unknown variable %q", p.Name, name)
 }
 
 // MustVar is Var for statically-known names; it panics on a miss.

@@ -20,11 +20,18 @@
 // per-(src,dst) FIFO with tag filtering, byte-for-byte the semantics of
 // the goroutine core's mailbox.take. The scheduler never consults wall
 // time or ambient randomness.
+//
+// Memory layout: undelivered messages sit in one inbox per destination
+// rank, a slice indexed by rank whose messages carry their source, and
+// every payload is copied into a bump arena the scheduler owns. A run
+// with n ranks therefore allocates O(n) inbox slices once and a payload
+// chunk per arenaChunk bytes sent, not a queue per link and a buffer
+// per message.
 package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mheta/internal/vclock"
 )
@@ -35,7 +42,9 @@ const AnyTag = -1
 
 // Msg is one in-flight message between two ranks. Arrival is the
 // virtual time at which the message becomes available to the receiver.
+// Src is the sending rank; Send fills it in.
 type Msg struct {
+	Src     int
 	Tag     int
 	Data    []byte
 	Arrival vclock.Time //mheta:units seconds
@@ -73,40 +82,38 @@ func (a item) less(b item) bool {
 	return a.seq < b.seq
 }
 
-// queue is the FIFO of undelivered messages for one (src,dst) pair.
-// head avoids O(n) slides on the common in-order pop.
-type queue struct {
-	msgs []Msg
-	head int
+// arenaChunk is the largest payload chunk. Chunks start at 1 KiB and
+// double, so a small world's run does not pay for a large chunk.
+// Payloads larger than a quarter chunk get a buffer of their own, so a
+// full-size chunk wastes at most a quarter of itself at its tail.
+const arenaChunk = 64 << 10
+
+// arena is a bump allocator for message payloads. Chunks are never
+// reused: a chunk is garbage once the scheduler has moved past it and
+// no receiver still holds a payload in it.
+type arena struct {
+	buf []byte
 }
 
-func (q *queue) push(m Msg) { q.msgs = append(q.msgs, m) }
-
-func (q *queue) len() int { return len(q.msgs) - q.head }
-
-// pop removes and returns the first message matching tag (any message
-// when tag == AnyTag), preserving FIFO order among the rest.
-func (q *queue) pop(tag int) (Msg, bool) {
-	for i := q.head; i < len(q.msgs); i++ {
-		if tag != AnyTag && q.msgs[i].Tag != tag {
-			continue
-		}
-		m := q.msgs[i]
-		if i == q.head {
-			q.msgs[q.head] = Msg{}
-			q.head++
-			if q.head == len(q.msgs) {
-				q.msgs = q.msgs[:0]
-				q.head = 0
-			}
-		} else {
-			copy(q.msgs[i:], q.msgs[i+1:])
-			q.msgs[len(q.msgs)-1] = Msg{}
-			q.msgs = q.msgs[:len(q.msgs)-1]
-		}
-		return m, true
+// copy returns a copy of data with cap == len, so a receiver that
+// appends to its payload reallocates instead of overwriting the next
+// message in the chunk. Empty payloads copy to nil.
+func (a *arena) copy(data []byte) []byte {
+	n := len(data)
+	switch {
+	case n == 0:
+		return nil
+	case n > arenaChunk/4:
+		out := make([]byte, n)
+		copy(out, data)
+		return out
+	case len(a.buf)+n > cap(a.buf):
+		size := min(max(2*cap(a.buf), 1<<10), arenaChunk)
+		a.buf = make([]byte, 0, max(n, size))
 	}
-	return Msg{}, false
+	off := len(a.buf)
+	a.buf = append(a.buf, data...)
+	return a.buf[off : off+n : off+n]
 }
 
 // park records why a rank is blocked: it wants a message from src with
@@ -124,10 +131,16 @@ type park struct {
 // point — cross-rank coupling happens through message timestamps, not
 // the host scheduler.
 type Scheduler struct {
-	n      int
-	heap   []item
-	seq    uint64
-	queues map[uint64]*queue // lazily created per (src,dst) pair
+	n    int
+	heap []item
+	seq  uint64
+	// inbox[dst] holds dst's undelivered messages in send order. A
+	// per-(src,dst) FIFO is the subsequence with one Src, so matching
+	// the first message with the wanted source and tag is the mailbox
+	// rule. Inboxes stay short (a rank's outstanding receives), so the
+	// linear scan is cheaper than a per-link map.
+	inbox  [][]Msg
+	arena  arena
 	parked []park
 	inHeap []bool
 	// last[r] is rank r's most recent dispatch (or park) time; virtual
@@ -137,14 +150,26 @@ type Scheduler struct {
 	stats Stats
 }
 
+// inboxCap is each inbox's initial capacity: the two halo messages of a
+// nearest-neighbour exchange.
+const inboxCap = 2
+
 // New returns a scheduler for n ranks with an empty event heap.
 func New(n int) *Scheduler {
 	if n <= 0 {
 		panic(fmt.Sprintf("sched: invalid rank count %d", n))
 	}
+	// The inboxes are carved from one slab, capacity-clipped so an inbox
+	// that outgrows its share reallocates instead of spilling into its
+	// neighbour's.
+	slab := make([]Msg, inboxCap*n)
+	inbox := make([][]Msg, n)
+	for r := range inbox {
+		inbox[r] = slab[r*inboxCap : r*inboxCap : (r+1)*inboxCap]
+	}
 	return &Scheduler{
 		n:      n,
-		queues: make(map[uint64]*queue),
+		inbox:  inbox,
 		parked: make([]park, n),
 		inHeap: make([]bool, n),
 		last:   make([]vclock.Time, n),
@@ -195,18 +220,17 @@ func (s *Scheduler) Next() (rank int, ok bool) {
 }
 
 // Send delivers m on the src→dst link, waking dst if it is parked on a
-// matching (src, tag).
+// matching (src, tag). It copies m.Data into the scheduler's payload
+// arena, so the caller may reuse its buffer as soon as Send returns.
+// The delivered payload has cap == len and lives until the receiver
+// drops it.
 func (s *Scheduler) Send(src, dst int, m Msg) {
 	if dst < 0 || dst >= s.n {
 		panic(fmt.Sprintf("sched: Send to rank %d of %d", dst, s.n))
 	}
-	key := pairKey(src, dst)
-	q := s.queues[key]
-	if q == nil {
-		q = &queue{}
-		s.queues[key] = q
-	}
-	q.push(m)
+	m.Src = src
+	m.Data = s.arena.copy(m.Data)
+	s.inbox[dst] = append(s.inbox[dst], m)
 	s.stats.Sends++
 	if p := &s.parked[dst]; p.active && int(p.src) == src && (p.tag == AnyTag || p.tag == m.Tag) {
 		p.active = false
@@ -220,11 +244,18 @@ func (s *Scheduler) Send(src, dst int, m Msg) {
 // goroutine core's mailbox.take). It does not park; a driver that gets
 // ok == false parks the receiver explicitly.
 func (s *Scheduler) TryRecv(src, dst, tag int) (Msg, bool) {
-	q := s.queues[pairKey(src, dst)]
-	if q == nil {
-		return Msg{}, false
+	q := s.inbox[dst]
+	for i := range q {
+		if q[i].Src != src || (tag != AnyTag && q[i].Tag != tag) {
+			continue
+		}
+		m := q[i]
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = Msg{} // drop the payload reference
+		s.inbox[dst] = q[:len(q)-1]
+		return m, true
 	}
-	return q.pop(tag)
+	return Msg{}, false
 }
 
 // Park blocks rank r until a message from src with the given tag is
@@ -263,8 +294,8 @@ func (s *Scheduler) ParkedRanks() []int {
 // links (diagnostics; a clean run ends with zero).
 func (s *Scheduler) PendingMessages() int {
 	total := 0
-	for _, q := range s.queues {
-		total += q.len()
+	for _, q := range s.inbox {
+		total += len(q)
 	}
 	return total
 }
@@ -329,20 +360,27 @@ func (s *Scheduler) DumpState() string {
 	if len(parked) > 8 {
 		out += " …"
 	}
+	// One key per undelivered message; sorted, equal keys are adjacent
+	// and each run is one link's count.
 	var keys []uint64
-	for k, q := range s.queues {
-		if q.len() > 0 {
-			keys = append(keys, k)
+	for dst, q := range s.inbox {
+		for _, m := range q {
+			keys = append(keys, pairKey(m.Src, dst))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out += fmt.Sprintf("; %d undelivered", s.PendingMessages())
-	for i, k := range keys {
-		if i == 8 {
+	slices.Sort(keys)
+	out += fmt.Sprintf("; %d undelivered", len(keys))
+	for i, links := 0, 0; i < len(keys); links++ {
+		if links == 8 {
 			out += " …"
 			break
 		}
-		out += fmt.Sprintf(" [%d→%d: %d]", k>>32, uint32(k), s.queues[k].len())
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		out += fmt.Sprintf(" [%d→%d: %d]", keys[i]>>32, uint32(keys[i]), j-i)
+		i = j
 	}
 	return out
 }

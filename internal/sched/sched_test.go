@@ -234,3 +234,59 @@ func TestInvalidNew(t *testing.T) {
 	}()
 	New(0)
 }
+
+// TestArenaPayloads pins the payload ownership contract: Send copies
+// into the scheduler's arena, so the sender may reuse its buffer at
+// once, and every delivered payload has cap == len, so a receiver that
+// appends to one reallocates instead of overwriting the next message
+// in the chunk.
+func TestArenaPayloads(t *testing.T) {
+	s := New(2)
+	buf := make([]byte, 0, arenaChunk)
+	sizes := []int{0, 1, 7, 32, arenaChunk / 4, arenaChunk/4 + 1, 3, arenaChunk, 5}
+	for i, n := range sizes {
+		buf = buf[:0]
+		for j := 0; j < n; j++ {
+			buf = append(buf, byte(i+j))
+		}
+		s.Send(0, 1, Msg{Tag: i, Data: buf})
+		clear(buf) // reuse: must not reach the queued copy
+	}
+	var got [][]byte
+	for i, n := range sizes {
+		m, ok := s.TryRecv(0, 1, i)
+		if !ok {
+			t.Fatalf("message %d missing", i)
+		}
+		if len(m.Data) != n || cap(m.Data) != len(m.Data) {
+			t.Fatalf("message %d: len %d cap %d, want len %d and cap == len", i, len(m.Data), cap(m.Data), n)
+		}
+		got = append(got, m.Data)
+	}
+	for i := range got {
+		got[i] = append(got[i], 0xFF) // must not clobber a neighbour
+	}
+	for i, n := range sizes {
+		for j := 0; j < n; j++ {
+			if got[i][j] != byte(i+j) {
+				t.Fatalf("message %d byte %d = %d, want %d", i, j, got[i][j], byte(i+j))
+			}
+		}
+	}
+}
+
+// TestDumpStateLinks pins the deadlock report's per-link section: one
+// [src→dst: k] entry per link with undelivered messages, sorted by
+// source then destination.
+func TestDumpStateLinks(t *testing.T) {
+	s := New(3)
+	s.Park(0, 1, 3, 1.5)
+	s.Send(2, 0, Msg{Tag: 1})
+	s.Send(1, 0, Msg{Tag: 99})
+	s.Send(0, 2, Msg{Tag: 5})
+	s.Send(1, 0, Msg{Tag: 98})
+	want := "1 parked [rank 0 ← src 1 tag 3 @1.5]; 4 undelivered [0→2: 1] [1→0: 2] [2→0: 1]"
+	if got := s.DumpState(); got != want {
+		t.Fatalf("DumpState() = %q, want %q", got, want)
+	}
+}
