@@ -526,9 +526,8 @@ func BenchmarkMemoConcurrentBatches(b *testing.B) {
 }
 
 // BenchmarkServePredict measures the serving path end to end: parallel
-// HTTP clients POSTing /predict at a live server, answered through the
-// admission queue, the coalescing batcher and the shared cross-request
-// memo. Requests rotate over a handful of distributions, the steady
+// HTTP clients POSTing /predict at a live server, each request scored on
+// its own handler through the shared cross-request memo. Requests rotate over a handful of distributions, the steady
 // state of a runtime system polling candidate scores. The req/s metric
 // is the headline — mheta-bench holds it to an absolute floor of 1000
 // via -min-metric (ns/op and allocs stay ungated: net/http allocation
@@ -585,13 +584,6 @@ func BenchmarkServePredict(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	// Mean coalesced batch size, from the server's own histogram.
-	snap := srv.Metrics().Snapshot()
-	for _, h := range snap.Histograms {
-		if h.Name == "serve.predict.batchsize" && h.Count > 0 {
-			b.ReportMetric(h.Sum/float64(h.Count), "reqs/batch")
-		}
-	}
 }
 
 // --- Ablation benches (DESIGN.md §5) -----------------------------------

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mheta-serve -addr :8080
-//	mheta-serve -addr 127.0.0.1:0 -workers 4 -max-searches 8
+//	mheta-serve -addr 127.0.0.1:0 -queue-depth 64 -max-searches 8
 //	mheta-serve -metrics final.json   # end-of-run snapshot, plus live GET /metrics
 //
 // Endpoints:
@@ -38,9 +38,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mheta-serve: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	workers := flag.Int("workers", 1, "evaluation workers per scenario engine (>= 1)")
-	queueDepth := flag.Int("queue-depth", 256, "predict admission-queue depth per engine (>= 1); overflow sheds with 429")
-	maxBatch := flag.Int("max-batch", 64, "max predict requests coalesced into one evaluation batch (>= 1)")
+	queueDepth := flag.Int("queue-depth", 256, "in-flight /predict requests per engine (>= 1); one more sheds with 429")
 	memoLimit := flag.Int("memo-limit", 1<<20, "shared memo entries per engine before epoch eviction (>= 1)")
 	maxSearches := flag.Int("max-searches", 2, "concurrently running searches (>= 1)")
 	searchBacklog := flag.Int("search-backlog", 0, "searches allowed to wait beyond -max-searches (0 selects 2x -max-searches)")
@@ -50,14 +48,8 @@ func main() {
 	obsFlags := cliutil.RegisterObsFlags()
 	flag.Parse()
 
-	if *workers < 1 {
-		cliutil.Usagef("-workers must be at least 1, got %d", *workers)
-	}
 	if *queueDepth < 1 {
 		cliutil.Usagef("-queue-depth must be at least 1, got %d", *queueDepth)
-	}
-	if *maxBatch < 1 {
-		cliutil.Usagef("-max-batch must be at least 1, got %d", *maxBatch)
 	}
 	if *memoLimit < 1 {
 		cliutil.Usagef("-memo-limit must be at least 1, got %d", *memoLimit)
@@ -75,9 +67,7 @@ func main() {
 	defer obsFlags.Finish()
 
 	srv := serve.New(serve.Config{
-		Workers:        *workers,
 		QueueDepth:     *queueDepth,
-		MaxBatch:       *maxBatch,
 		MemoLimit:      *memoLimit,
 		MaxSearches:    *maxSearches,
 		SearchBacklog:  *searchBacklog,
@@ -103,8 +93,8 @@ func main() {
 		log.Printf("%s: draining (up to %s)", s, *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		// Stop the listener and wait for HTTP handlers, then stop the
-		// serving internals (batchers, engines).
+		// Stop the listener and wait for HTTP handlers, then for the
+		// serving internals (engine builds).
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Printf("http shutdown: %v", err)
 		}

@@ -242,7 +242,6 @@ func TestServeMetricsAndErrors(t *testing.T) {
 // TestServeFlagRejection pins the usage-error exits on the server's
 // sizing flags, matching the other binaries' exit-2 convention.
 func TestServeFlagRejection(t *testing.T) {
-	runExpectUsage(t, "mheta-serve", []string{"-workers"}, "-workers", "0")
 	runExpectUsage(t, "mheta-serve", []string{"-queue-depth"}, "-queue-depth", "-1")
 	runExpectUsage(t, "mheta-serve", []string{"-max-searches"}, "-max-searches", "0")
 	runExpectUsage(t, "mheta-serve", []string{"-drain"}, "-drain", "-1s")

@@ -1067,6 +1067,12 @@ func (c *checker) Call(e *ast.CallExpr, eval dataflow.Eval[val]) val {
 			return val{}
 		}
 	}
+	// A method call reads its receiver operand: `m.f.M()` reads m.f.
+	if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+		if seln, ok := c.pass.TypesInfo.Selections[sel]; ok && seln.Kind() == types.MethodVal {
+			eval(sel.X)
+		}
+	}
 	for _, a := range e.Args {
 		eval(a)
 	}

@@ -49,6 +49,16 @@ func (c *Counter) Loose() {
 	c.bumpLocked() // want `call to bumpLocked requires holding c.mu`
 }
 
+// A guarded field used as a method receiver is a read of the field.
+type Holder struct {
+	mu sync.Mutex
+	c  *Counter //mheta:guardedby mu
+}
+
+func (h *Holder) Reset() {
+	h.c.Set(0) // want `read of h.c requires holding h.mu`
+}
+
 func (c *Counter) Oops() {
 	c.mu.Unlock() // want `unlock of c.mu, which is not held here`
 }

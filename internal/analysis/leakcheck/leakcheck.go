@@ -20,11 +20,11 @@
 //   - A channel send must not be able to block forever. A send is in
 //     discipline when it sits in a select with a default or cancellation
 //     arm, when its channel has a dedicated receiver inside a spawned
-//     goroutine (the serve batcher pattern), or when the channel is
-//     provably buffered with statically bounded senders: a
+//     goroutine (a queue drained by a worker loop), or when the channel
+//     is provably buffered with statically bounded senders: a
 //     function-local `make(chan T, k)` sent outside any loop, or a
-//     per-iteration channel rooted at a range variable (serveBatch's
-//     reply channels). A buffered channel shared through a struct field
+//     per-iteration channel rooted at a range variable (per-request
+//     reply channels answered in a loop). A buffered channel shared through a struct field
 //     gets no such pass — its buffer fills across calls, which is
 //     exactly the admission-queue shape that must shed via select
 //     instead. `//mheta:sendsafe <reason>` records a discipline the

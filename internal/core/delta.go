@@ -50,8 +50,8 @@ const busyUnfilled uint64 = 0x7ff8000000000001
 // busyTable is one instrumented model's busy-term cache, shared by the
 // model and every clone of it: NewModel creates it, Clone shares the
 // pointer, and every DeltaEvaluator over any of those models reads and
-// fills it, so an engine's batcher, its /search requests and their pool
-// workers all replay each other's terms. It is safe for concurrent use
+// fills it, so an engine's /predict memo, its /search requests and their
+// pool workers all replay each other's terms. It is safe for concurrent use
 // and lock-free once built (DESIGN.md §5.12):
 //
 //   - the per-node page tables are allocated once, under the table's

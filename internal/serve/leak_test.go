@@ -32,10 +32,9 @@ func stableGoroutines() int {
 
 // TestNoGoroutineLeakAfterBurstAndDrain is the dynamic complement to the
 // static leakcheck analyzer: a concurrent predict burst (which forces an
-// engine build and its batcher goroutine) followed by Shutdown must
-// return the process to its pre-server goroutine count. Growth here
-// means a batcher, admission waiter, or build goroutine outlived the
-// drain contract.
+// engine build goroutine) followed by Shutdown must return the process
+// to its pre-server goroutine count. Growth here means an admission
+// waiter, build goroutine or HTTP connection outlived the drain contract.
 func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 	base := stableGoroutines()
 
@@ -43,7 +42,7 @@ func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 	ts := httptest.NewServer(srv)
 
 	// Burst: 16 concurrent predicts, all through the shared engine and
-	// its batcher.
+	// its memo.
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -57,9 +56,9 @@ func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The engine and its batcher are expected to be alive while the
-	// server is up — the during-count just documents that the burst
-	// actually spawned machinery to tear down.
+	// Keep-alive connections are expected to be alive while the server
+	// is up — the during-count just documents that the burst actually
+	// spawned machinery to tear down.
 	during := stableGoroutines()
 	if during <= base {
 		t.Logf("during=%d base=%d: engine machinery already quiesced", during, base)
@@ -93,7 +92,7 @@ func TestSearchWorkersBounded(t *testing.T) {
 	search := func(workers int) (int, []byte) {
 		return postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Alg: "genetic", Workers: workers})
 	}
-	code, want := search(1) // also builds the engine and its batcher
+	code, want := search(1) // also builds the engine
 	if code != http.StatusOK {
 		t.Fatalf("workers=1: status %d: %s", code, want)
 	}

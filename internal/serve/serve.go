@@ -9,21 +9,21 @@
 // Wire values are bit-identical to the equivalent mheta-predict and
 // mheta-search CLI runs: a scenario is instrumented once (same
 // mheta.Instrument path, same seed), the model is cloned per use, and
-// evaluation order never affects values — so batching, memoization and
+// evaluation order never affects values — so memoization and
 // parallelism change throughput only.
 //
 // The serving shape is production-grade on purpose:
 //
-//   - /predict requests pass through a bounded per-engine admission queue
-//     (full queue = shed with 429) into a single batcher goroutine that
-//     coalesces concurrent requests into one Memo.EvaluateBatchInto
-//     against a shared cross-request memo (epoch eviction bounds it).
+//   - /predict requests take one of a bounded number of per-engine slots
+//     (all taken = shed with 429) and are scored on their own handler
+//     goroutine, as a batch of one through a shared cross-request memo
+//     (epoch eviction bounds it).
 //   - /search requests take a slot from a bounded semaphore (running +
 //     backlog over the cap = shed with 429) and run the searcher under a
 //     per-request context deadline threaded into the search loop.
-//   - Shutdown drains: in-flight handlers finish (each bounded by its
-//     own deadline), then the batchers are stopped. New work is refused
-//     with 503 the moment shutdown begins.
+//   - Shutdown drains: in-flight handlers and engine builds finish (each
+//     bounded by its own deadline). New work is refused with 503 the
+//     moment shutdown begins.
 package serve
 
 import (
@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -48,18 +49,9 @@ import (
 // Config sizes the server. The zero value of any field selects the
 // default noted on it.
 type Config struct {
-	// Workers is the evaluation-pool size per engine; 1 evaluates inline
-	// on the batcher goroutine (default 1 — batching already extracts
-	// the parallelism across requests; raise it to spread one large
-	// batch across cores). Values never change: parallelism is
-	// throughput only.
-	Workers int
-	// QueueDepth bounds each engine's predict admission queue; a full
-	// queue sheds with 429 (default 256).
+	// QueueDepth bounds the in-flight /predict requests per engine; one
+	// more sheds with 429 (default 256).
 	QueueDepth int
-	// MaxBatch caps how many queued requests one evaluation batch
-	// coalesces (default 64).
-	MaxBatch int
 	// MemoLimit bounds each engine's shared memo table; crossing it
 	// evicts the epoch (default 1<<20 entries).
 	MemoLimit int
@@ -82,14 +74,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.MemoLimit <= 0 {
 		c.MemoLimit = 1 << 20
@@ -130,8 +116,8 @@ type Server struct {
 	// mu+closed (never Add after closed), which makes the Wait in
 	// Shutdown sound.
 	inflight sync.WaitGroup
-	// wg counts engine builders and batchers; Shutdown waits for it
-	// after closing the queues.
+	// wg counts engine builders; Shutdown waits for it after the
+	// handlers have drained.
 	wg sync.WaitGroup
 
 	// searchSlots is the running-search semaphore; searchWaiters counts
@@ -139,22 +125,18 @@ type Server struct {
 	searchSlots   chan struct{}
 	searchWaiters atomic.Int64 //mheta:atomic
 
-	closeOnce sync.Once // guards the close of the engine queues
-
 	// Counters are created once here and written concurrently (they are
 	// internally atomic).
-	mPredict, mShed, mExpired, mBatches   *obs.Counter
+	mPredict, mShed                       *obs.Counter
 	mSearch, mSearchShed, mSearchCanceled *obs.Counter
 	mEngines                              *obs.Counter
-	mBatchSize                            *obs.Histogram
 
 	// Test seams, nil in production; set before the first request.
 	// testHookSearchStarted runs with a search slot held, after the
 	// model clone and the Blk baseline, before the search itself.
-	// testHookBatch runs at the head of serveBatch with the live batch
-	// size.
+	// testHookPredict runs with a predict slot held, before evaluation.
 	testHookSearchStarted func(ctx context.Context)
-	testHookBatch         func(n int)
+	testHookPredict       func()
 }
 
 // New returns a ready-to-serve Server.
@@ -168,9 +150,6 @@ func New(cfg Config) *Server {
 	}
 	s.mPredict = s.reg.Counter("serve.predict.requests")
 	s.mShed = s.reg.Counter("serve.predict.shed")
-	s.mExpired = s.reg.Counter("serve.predict.expired")
-	s.mBatches = s.reg.Counter("serve.predict.batches")
-	s.mBatchSize = s.reg.Histogram("serve.predict.batchsize", []float64{1, 2, 4, 8, 16, 32, 64})
 	s.mSearch = s.reg.Counter("serve.search.requests")
 	s.mSearchShed = s.reg.Counter("serve.search.shed")
 	s.mSearchCanceled = s.reg.Counter("serve.search.canceled")
@@ -209,39 +188,20 @@ func (s *Server) admit() bool {
 }
 
 // Shutdown drains the server: new requests are refused with 503
-// immediately, in-flight handlers run to completion (each bounded by its
-// own request deadline), then the engine batchers are stopped. It
-// returns nil on a complete drain or ctx's error if the deadline fires
-// first (the server is then stopped for new work but some internals may
-// still be unwinding).
+// immediately, then in-flight handlers and engine builds run to
+// completion (each bounded by its own request deadline). It returns nil
+// on a complete drain or ctx's error if the deadline fires first (the
+// server is then stopped for new work but some internals may still be
+// unwinding).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	engines := make([]*engine, 0, len(s.engines))
-	for _, e := range s.engines {
-		engines = append(engines, e)
-	}
 	s.mu.Unlock()
 
 	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
+	go func() { s.inflight.Wait(); s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-
-	// All senders (handlers) have drained, so the queues can close; the
-	// batchers finish whatever is still queued and exit.
-	s.closeOnce.Do(func() {
-		for _, e := range engines {
-			close(e.queue)
-		}
-	})
-	workersDone := make(chan struct{})
-	go func() { s.wg.Wait(); close(workersDone) }()
-	select {
-	case <-workersDone:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -299,8 +259,8 @@ func (s *Server) engine(ctx context.Context, scen Scenario, spec cluster.Spec, a
 			scen:  scen,
 			spec:  spec,
 			app:   app,
+			slots: make(chan struct{}, s.cfg.QueueDepth),
 			ready: make(chan struct{}),
-			queue: make(chan *predictReq, s.cfg.QueueDepth),
 		}
 		s.engines[scen] = e
 		s.wg.Add(1)
@@ -339,7 +299,7 @@ type PredictRequest struct {
 	// selects the Blk baseline.
 	Dist []int `json:"dist,omitempty"`
 	// Detailed adds per-iteration, per-node and per-section times to the
-	// response (evaluated outside the batch fast path).
+	// response (evaluated outside the memo fast path).
 	Detailed bool `json:"detailed,omitempty"`
 	// TimeoutMS overrides the server's default request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -374,6 +334,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(d) == 0 {
 		d = dist.Block(app.Prog.GlobalElems(), spec.N())
 	}
+	if len(d) != spec.N() {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("dist has %d entries, want %d (one per node)", len(d), spec.N()))
+		return
+	}
 	if err := d.Validate(app.Prog.GlobalElems()); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -385,35 +349,30 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	pr := &predictReq{d: d, detailed: req.Detailed, ctx: ctx, reply: make(chan predictReply, 1)}
 	select {
-	case e.queue <- pr:
+	case e.slots <- struct{}{}:
+		defer func() { <-e.slots }()
 	default:
 		s.mShed.Inc()
-		httpError(w, http.StatusTooManyRequests, "predict queue full")
+		httpError(w, http.StatusTooManyRequests, "too many in-flight predicts")
 		return
 	}
-	select {
-	case rep := <-pr.reply:
-		if rep.err != nil {
-			s.writeErr(w, rep.err)
-			return
-		}
-		resp := PredictResponse{
-			Program:    e.params.Program,
-			Dist:       d,
-			Iterations: e.params.Iterations,
-			TotalS:     rep.total,
-		}
-		if req.Detailed {
-			resp.PerIterationS = rep.pred.PerIteration
-			resp.NodeTimesS = rep.pred.NodeTimes
-			resp.SectionTimesS = rep.pred.SectionTimes
-		}
-		writeJSON(w, resp)
-	case <-ctx.Done():
-		s.writeErr(w, ctx.Err())
+	if s.testHookPredict != nil {
+		s.testHookPredict()
 	}
+	resp := PredictResponse{
+		Program:    e.params.Program,
+		Dist:       d,
+		Iterations: e.params.Iterations,
+		TotalS:     e.predict(d),
+	}
+	if req.Detailed {
+		pred := e.predictDetailed(d)
+		resp.PerIterationS = pred.PerIteration
+		resp.NodeTimesS = pred.NodeTimes
+		resp.SectionTimesS = pred.SectionTimes
+	}
+	writeJSON(w, resp)
 }
 
 // SearchRequest is the POST /search body.
@@ -549,12 +508,16 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 }
 
 // decodeJSON parses a request body strictly: unknown fields are errors
-// (they are always typos of tuning knobs), bodies are capped at 1 MiB.
+// (they are always typos of tuning knobs), anything after the one JSON
+// value is an error, and bodies are capped at 1 MiB.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

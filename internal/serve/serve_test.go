@@ -161,6 +161,11 @@ func TestPredictRejects(t *testing.T) {
 		{"unknown-config", `{"app":"jacobi","config":"XX","scale":"test"}`},
 		{"unknown-scale", `{"app":"jacobi","config":"HY1","scale":"huge"}`},
 		{"bad-dist", `{"app":"jacobi","config":"HY1","scale":"test","dist":[1,2,3]}`},
+		// Right sum (768 elements), wrong node count (HY1 has 8).
+		{"short-dist", `{"app":"jacobi","config":"HY1","scale":"test","dist":[768,0,0]}`},
+		{"long-dist", `{"app":"jacobi","config":"HY1","scale":"test","dist":[96,96,96,96,96,96,96,96,0]}`},
+		{"short-dist-detailed", `{"app":"jacobi","config":"HY1","scale":"test","dist":[768,0,0],"detailed":true}`},
+		{"trailing-data", `{"app":"jacobi","config":"HY1","scale":"test"} trailing`},
 	} {
 		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
@@ -171,6 +176,9 @@ func TestPredictRejects(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
 		}
+	}
+	if n := srv.mEngines.Value(); n != 0 {
+		t.Errorf("serve.engines.built = %d after only malformed requests, want 0", n)
 	}
 
 	// Wrong method never reaches a handler.
@@ -184,16 +192,16 @@ func TestPredictRejects(t *testing.T) {
 	}
 }
 
-// TestPredictShedsWhenQueueFull drives the admission queue to capacity
-// deterministically — the batcher is parked on a test hook, so the queue
-// (depth 1) fills behind it — and demands the next request shed with 429
+// TestPredictShedsWhenQueueFull takes every predict slot
+// deterministically — two requests are parked on a test hook with their
+// slots held (QueueDepth 2) — and demands the next request shed with 429
 // instead of blocking.
 func TestPredictShedsWhenQueueFull(t *testing.T) {
 	var gate atomic.Bool
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv := New(Config{QueueDepth: 1, MaxBatch: 1})
-	srv.testHookBatch = func(int) {
+	srv := New(Config{QueueDepth: 2})
+	srv.testHookPredict = func() {
 		if !gate.Load() {
 			return
 		}
@@ -217,20 +225,7 @@ func TestPredictShedsWhenQueueFull(t *testing.T) {
 			defer wg.Done()
 			codes[i], _ = postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire()})
 		}(i)
-		if i == 0 {
-			<-entered // the batcher holds request 0; request 1 must queue
-		} else {
-			waitFor(t, "queued request", func() bool {
-				srv.mu.Lock()
-				defer srv.mu.Unlock()
-				for _, e := range srv.engines {
-					if len(e.queue) == 1 {
-						return true
-					}
-				}
-				return false
-			})
-		}
+		<-entered // request i holds a slot inside the hook
 	}
 
 	code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire()})
@@ -298,6 +293,25 @@ func TestSearchMatchesDirect(t *testing.T) {
 	code, data := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Alg: "simplex"})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown alg: status %d (%s), want 400", code, data)
+	}
+}
+
+// TestSearchRejects pins the strict body decoding on /search: trailing
+// data after the JSON value is a 400, not silently ignored.
+func TestSearchRejects(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := `{"app":"jacobi","config":"HY1","scale":"test"} trailing`
+	resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data: status %d (%s), want 400", resp.StatusCode, data)
 	}
 }
 
@@ -428,7 +442,7 @@ func TestShutdownDrains(t *testing.T) {
 // shared memo (which the hit counter proves was actually exercised).
 func TestPredictConcurrentSharedMemo(t *testing.T) {
 	model, app, spec := refModel(t)
-	srv := New(Config{MaxBatch: 16, Workers: 2})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -494,8 +508,5 @@ func TestPredictConcurrentSharedMemo(t *testing.T) {
 	if counters["search.memo.misses"] > int64(len(dists)) {
 		t.Errorf("search.memo.misses = %d, want <= %d (one per distinct distribution)",
 			counters["search.memo.misses"], len(dists))
-	}
-	if counters["serve.predict.batches"] == 0 {
-		t.Error("serve.predict.batches = 0")
 	}
 }
