@@ -102,11 +102,7 @@ func NewModel(p Params) (*Model, error) {
 		for sti, st := range s.Stages {
 			stageVar[si][sti] = -1
 			if st.StreamVar != "" {
-				idx, ok := varIdx[st.StreamVar]
-				if !ok {
-					return nil, fmt.Errorf("core: section %d stage %d streams unknown variable %q", si, sti, st.StreamVar)
-				}
-				stageVar[si][sti] = idx
+				stageVar[si][sti] = varIdx[st.StreamVar] // Validate checked it exists
 			}
 		}
 		sn[si] = secNet{

@@ -149,14 +149,47 @@ type Params struct {
 	SharedDisk bool `json:"shared_disk,omitempty"`
 }
 
+// Plausibility bounds a parameter set must meet. Holding every time
+// constant to a finite magnitude and every iteration weight to a
+// bounded range keeps the model's sums and products finite; maxTiles
+// bounds the per-tile state the pipeline recurrence allocates, which a
+// parameter file of a few bytes could otherwise make arbitrarily large.
+const (
+	maxTimeConstant = 1e6 //mheta:units seconds
+	maxIterWeight   = 1e6 //mheta:units ratio
+	maxTiles        = 1 << 16
+)
+
+// checkTimes rejects a time constant (seconds, or seconds per element
+// or byte) that is not finite or exceeds maxTimeConstant in magnitude.
+func checkTimes(what string, xs ...float64) error {
+	for i, x := range xs {
+		if !(x >= -maxTimeConstant && x <= maxTimeConstant) {
+			return fmt.Errorf("core: %s[%d] = %v is not within ±%g", what, i, x, maxTimeConstant)
+		}
+	}
+	return nil
+}
+
 // Validate checks internal consistency: every per-node slice must have
-// exactly Nodes entries and every section must be structurally sound.
+// exactly Nodes entries, every section must be structurally sound, and
+// every value must lie within the plausibility bounds above — so any
+// Params that validates builds a model whose predictions are finite.
 func (p *Params) Validate() error {
 	if p.Nodes <= 0 {
 		return fmt.Errorf("core: Nodes %d <= 0", p.Nodes)
 	}
 	if p.Iterations <= 0 {
 		return fmt.Errorf("core: Iterations %d <= 0", p.Iterations)
+	}
+	n := p.Net
+	if err := checkTimes("Net", n.SendFixed, n.SendPerByte, n.RecvFixed, n.RecvPerByte, n.WireFixed, n.WirePerByte); err != nil {
+		return err
+	}
+	for i, d := range p.Disk {
+		if err := checkTimes(fmt.Sprintf("Disk[%d]", i), d.ReadSeek, d.WriteSeek, d.IssueCost); err != nil {
+			return err
+		}
 	}
 	checkLen := func(what string, n int) error {
 		if n != p.Nodes {
@@ -181,39 +214,65 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("core: %d IterWeights for %d iterations", len(p.IterWeights), p.Iterations)
 		}
 		for i, w := range p.IterWeights {
-			if w <= 0 {
-				return fmt.Errorf("core: IterWeights[%d] = %v <= 0", i, w)
+			if !(w >= 1/maxIterWeight && w <= maxIterWeight) {
+				return fmt.Errorf("core: IterWeights[%d] = %v is outside [%g, %g]", i, w, 1/maxIterWeight, maxIterWeight)
 			}
 		}
 	}
+	vars := make(map[string]bool, len(p.DistVars))
+	for _, v := range p.DistVars {
+		vars[v.Name] = true
+	}
 	for si, s := range p.Sections {
-		if s.Tiles <= 0 {
-			return fmt.Errorf("core: section %d (%s): Tiles %d <= 0", si, s.Name, s.Tiles)
+		if s.Tiles <= 0 || s.Tiles > maxTiles {
+			return fmt.Errorf("core: section %d (%s): Tiles %d is outside [1, %d]", si, s.Name, s.Tiles, maxTiles)
 		}
-		if s.Comm == program.CommPipeline && s.Tiles < 2 {
-			return fmt.Errorf("core: section %d (%s): pipeline with %d tile(s)", si, s.Name, s.Tiles)
+		switch s.Comm {
+		case program.CommNone, program.CommNearestNeighbor, program.CommReduction:
+		case program.CommPipeline:
+			if s.Tiles < 2 {
+				return fmt.Errorf("core: section %d (%s): pipeline with %d tile(s)", si, s.Name, s.Tiles)
+			}
+		default:
+			return fmt.Errorf("core: section %d (%s): unknown comm pattern %v", si, s.Name, s.Comm)
 		}
 		for sti, st := range s.Stages {
-			if err := checkLen(fmt.Sprintf("section %d stage %d ComputePerElem", si, sti), len(st.ComputePerElem)); err != nil {
+			stage := fmt.Sprintf("section %d stage %d", si, sti)
+			if err := checkLen(stage+" ComputePerElem", len(st.ComputePerElem)); err != nil {
+				return err
+			}
+			if err := checkTimes(stage+" ComputePerElem", st.ComputePerElem...); err != nil {
 				return err
 			}
 			if st.StreamVar != "" {
-				if err := checkLen(fmt.Sprintf("section %d stage %d ReadPerByte", si, sti), len(st.ReadPerByte)); err != nil {
+				if !vars[st.StreamVar] {
+					return fmt.Errorf("core: %s streams unknown variable %q", stage, st.StreamVar)
+				}
+				if err := checkLen(stage+" ReadPerByte", len(st.ReadPerByte)); err != nil {
 					return err
 				}
 				if !st.ReadOnly {
-					if err := checkLen(fmt.Sprintf("section %d stage %d WritePerByte", si, sti), len(st.WritePerByte)); err != nil {
+					if err := checkLen(stage+" WritePerByte", len(st.WritePerByte)); err != nil {
 						return err
 					}
 				}
 				if st.ElemBytes <= 0 {
-					return fmt.Errorf("core: section %d stage %d: ElemBytes %d <= 0", si, sti, st.ElemBytes)
+					return fmt.Errorf("core: %s: ElemBytes %d <= 0", stage, st.ElemBytes)
 				}
 			}
 			if st.Prefetch {
-				if err := checkLen(fmt.Sprintf("section %d stage %d OverlapPerElem", si, sti), len(st.OverlapPerElem)); err != nil {
+				if err := checkLen(stage+" OverlapPerElem", len(st.OverlapPerElem)); err != nil {
 					return err
 				}
+			}
+			if err := checkTimes(stage+" ReadPerByte", st.ReadPerByte...); err != nil {
+				return err
+			}
+			if err := checkTimes(stage+" WritePerByte", st.WritePerByte...); err != nil {
+				return err
+			}
+			if err := checkTimes(stage+" OverlapPerElem", st.OverlapPerElem...); err != nil {
+				return err
 			}
 		}
 	}

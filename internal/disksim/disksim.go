@@ -255,6 +255,14 @@ func (d *Disk) Read(clk *vclock.Clock, name string, off, n int) ([]byte, vclock.
 	return data, d.readWait(clk, n)
 }
 
+// ReadInto is Read into dst instead of a fresh buffer: it reads
+// len(dst) bytes at off with the same timing, for callers that reuse one
+// buffer across reads.
+func (d *Disk) ReadInto(clk *vclock.Clock, name string, off int, dst []byte) vclock.Duration {
+	copy(dst, d.slice(name, off, len(dst)))
+	return d.readWait(clk, len(dst))
+}
+
 // readWait charges a synchronous n-byte read against clk and returns the
 // charged duration. The caller has already checked the extent bounds.
 func (d *Disk) readWait(clk *vclock.Clock, n int) vclock.Duration {

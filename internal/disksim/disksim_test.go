@@ -106,6 +106,25 @@ func TestReadWriteDataIntegrity(t *testing.T) {
 	}
 }
 
+// TestReadIntoMatchesRead pins ReadInto to Read: the same bytes into
+// the caller's buffer, and the same charge on the clock.
+func TestReadIntoMatchesRead(t *testing.T) {
+	a, b := New(testParams(), nil), New(testParams(), nil)
+	for _, d := range []*Disk{a, b} {
+		d.Create("x", 64)
+		d.Write(vclock.NewClock(), "x", 8, []byte{1, 2, 3, 4})
+	}
+	ca, cb := vclock.NewClock(), vclock.NewClock()
+	want, wantDur := a.Read(ca, "x", 6, 8)
+	dst := make([]byte, 8)
+	if dur := b.ReadInto(cb, "x", 6, dst); dur != wantDur || cb.Now() != ca.Now() {
+		t.Fatalf("ReadInto charged %v (clock %v), Read %v (clock %v)", dur, cb.Now(), wantDur, ca.Now())
+	}
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("ReadInto got %v, Read %v", dst, want)
+	}
+}
+
 func TestReadOutOfRangePanics(t *testing.T) {
 	d := New(testParams(), nil)
 	d.Create("x", 10)

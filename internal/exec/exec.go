@@ -147,18 +147,14 @@ type Options struct {
 	// blocked time). Plain runs only — ModeInstrument owns the profiler
 	// slot for MPI-Jack.
 	Trace *trace.Trace
-	// Engine selects the emulation core; EngineAuto uses the package
-	// default (the event engine).
-	Engine Engine
-	// EventStats, when non-nil, receives the scheduler counters after an
-	// event-engine run (dispatches, messages, parks — the events/sec
-	// numerator of the scale benchmarks). Ignored by the goroutine
-	// engine.
+	// EventStats, when non-nil, receives the scheduler counters after a
+	// run (dispatches, messages, parks — the events/sec numerator of the
+	// scale benchmarks).
 	EventStats *sched.Stats
 }
 
-// runEnv is one run's precomputed, engine-independent setup, shared by
-// both drivers so their per-rank behaviour cannot diverge.
+// runEnv is one run's precomputed setup, shared read-only by every
+// rank's machine.
 type runEnv struct {
 	w          *mpi.World
 	app        *App
@@ -182,18 +178,13 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	switch resolveEngine(opts.Engine) {
-	case EngineGoroutine:
-		env.runGoroutine()
-	default:
-		if err := env.runEvent(); err != nil {
-			return Result{}, err
-		}
+	if err := env.runEvent(); err != nil {
+		return Result{}, err
 	}
 	return env.result(), nil
 }
 
-// prepare validates inputs and computes everything both engines share:
+// prepare validates inputs and computes everything the ranks share:
 // iteration count, the distributed variables, active ranks (with an O(1)
 // per-rank index, not the old O(n) scan per rank), row prefix sums,
 // residency plans, and shared-disk contention.
@@ -256,8 +247,8 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 // setupRank builds rank r's NodeCtx in nc, wires profilers and disk
 // modes, initialises application state, and performs the compulsory
 // in-core loads — everything that happens before the aligning barrier.
-// All of it is rank-local (Init and loadInCore only touch the rank's own
-// clock and disk), so both engines call it identically.
+// All of it is rank-local: Init and loadInCore only touch the rank's own
+// clock and disk.
 func (env *runEnv) setupRank(nc *NodeCtx, r *mpi.Rank) {
 	p := r.Rank()
 	*nc = NodeCtx{
@@ -296,28 +287,7 @@ func (env *runEnv) setupRank(nc *NodeCtx, r *mpi.Rank) {
 	nc.loadInCore()
 }
 
-// runGoroutine is the original core: one goroutine per rank, blocking
-// mailbox receives, host-scheduled.
-func (env *runEnv) runGoroutine() {
-	env.w.ResetClocks()
-	env.w.Run(func(r *mpi.Rank) {
-		p := r.Rank()
-		nc := new(NodeCtx)
-		env.setupRank(nc, r)
-
-		// Align all ranks, then measure the iteration region.
-		r.Barrier(1 << 16)
-		env.starts[p] = float64(r.Now())
-		for it := 0; it < env.iters; it++ {
-			nc.Iter = it
-			nc.runIteration()
-		}
-		env.ends[p] = float64(r.Now())
-		nc.flushInCore()
-	})
-}
-
-// result assembles the Result both engines share.
+// result assembles the run's Result from the per-rank start and end times.
 func (env *runEnv) result() Result {
 	n := env.w.Size()
 	res := Result{NodeTimes: make([]float64, n), Recorders: env.recs}

@@ -1,49 +1,14 @@
 package exec
 
 import (
-	"fmt"
-
 	"mheta/internal/memsim"
-	"mheta/internal/mpi"
 	"mheta/internal/program"
-	"mheta/internal/trace"
 	"mheta/internal/vclock"
 )
 
 // Communication tags: one namespace per section, disjoint from the
 // barrier tag used in Run and from the collectives' reserved space.
 func sectionTag(sec int) int { return 1 + sec<<4 }
-
-// runIteration executes one full iteration: every parallel section with
-// its tiles, stages, and closing communication (Figure 1's structure).
-func (nc *NodeCtx) runIteration() {
-	for si := range nc.Prog.Sections {
-		s := &nc.Prog.Sections[si]
-		if nc.jack != nil {
-			nc.jack.EnterSection(si)
-		}
-		start := nc.R.Now()
-		switch s.Comm {
-		case program.CommPipeline:
-			nc.runPipelineSection(si, s)
-		default:
-			nc.runTiles(si, s)
-			nc.runEndComm(si, s)
-		}
-		if nc.tr != nil {
-			nc.tr.Add(trace.Span{
-				Rank:  nc.R.Rank(),
-				Kind:  trace.SpanSection,
-				Label: fmt.Sprintf("S%d", si),
-				Start: start,
-				End:   nc.R.Now(),
-			})
-		}
-		if nc.jack != nil {
-			nc.jack.LeaveSection()
-		}
-	}
-}
 
 // runTiles executes the section's stage work (non-pipelined sections have
 // exactly one tile).
@@ -58,67 +23,6 @@ func (nc *NodeCtx) runTiles(si int, s *program.Section) {
 		for sti := range s.Stages {
 			nc.runStage(si, sti, k, s)
 		}
-	}
-}
-
-// runPipelineSection interleaves communication with tiles: receive the
-// upstream boundary, process the tile's stages, forward downstream
-// (§4.2.2's pipelined pattern, the RNA structure).
-func (nc *NodeCtx) runPipelineSection(si int, s *program.Section) {
-	if nc.Count == 0 {
-		return
-	}
-	tag := sectionTag(si)
-	i := nc.actIdx
-	for k := 0; k < s.Tiles; k++ {
-		if nc.jack != nil {
-			nc.jack.EnterTile(k)
-		}
-		if i > 0 {
-			data := nc.R.Recv(nc.actives[i-1], tag)
-			nc.state.OnBoundary(nc, si, k, -1, data)
-		}
-		for sti := range s.Stages {
-			nc.runStage(si, sti, k, s)
-		}
-		if i < len(nc.actives)-1 {
-			nc.R.Send(nc.actives[i+1], tag, nc.state.BoundaryMsg(nc, si, k, +1))
-		}
-	}
-}
-
-// runEndComm performs the section-ending communication for non-pipelined
-// patterns.
-func (nc *NodeCtx) runEndComm(si int, s *program.Section) {
-	tag := sectionTag(si)
-	switch s.Comm {
-	case program.CommNone:
-		// No communication.
-	case program.CommNearestNeighbor:
-		if nc.Count == 0 {
-			return
-		}
-		i := nc.actIdx
-		// Send left, send right, receive left, receive right — the order
-		// the model's recurrence mirrors.
-		if i > 0 {
-			nc.R.Send(nc.actives[i-1], tag, nc.state.BoundaryMsg(nc, si, 0, -1))
-		}
-		if i < len(nc.actives)-1 {
-			nc.R.Send(nc.actives[i+1], tag, nc.state.BoundaryMsg(nc, si, 0, +1))
-		}
-		if i > 0 {
-			nc.state.OnBoundary(nc, si, 0, -1, nc.R.Recv(nc.actives[i-1], tag))
-		}
-		if i < len(nc.actives)-1 {
-			nc.state.OnBoundary(nc, si, 0, +1, nc.R.Recv(nc.actives[i+1], tag))
-		}
-	case program.CommReduction:
-		vals := nc.state.ReduceVal(nc, si)
-		res := nc.R.Allreduce(tag, mpi.OpSum, vals)
-		nc.state.OnReduce(nc, si, res)
-	default:
-		panic(fmt.Sprintf("exec: unsupported comm pattern %v", s.Comm))
 	}
 }
 

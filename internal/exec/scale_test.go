@@ -31,10 +31,7 @@ func TestEventEngine10kRanks(t *testing.T) {
 
 	var st sched.Stats
 	start := time.Now()
-	res, err := exec.Run(w, app, dist.Block(cfg.Rows, ranks), exec.Options{
-		Engine:     exec.EngineEvent,
-		EventStats: &st,
-	})
+	res, err := exec.Run(w, app, dist.Block(cfg.Rows, ranks), exec.Options{EventStats: &st})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +74,7 @@ func TestEmulateAllocBudget(t *testing.T) {
 	d := dist.Block(cfg.Rows, ranks)
 	allocs := testing.AllocsPerRun(3, func() {
 		w := mpi.NewWorld(spec, 7, 0.02)
-		if _, err := exec.Run(w, app, d, exec.Options{Engine: exec.EngineEvent}); err != nil {
+		if _, err := exec.Run(w, app, d, exec.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -29,7 +29,10 @@ func Collect(spec cluster.Spec, app *exec.App, baseDist dist.Distribution, seed 
 	// Micro-benchmarks on a dedicated world (the paper runs them once per
 	// cluster and stores the results).
 	mbw := mpi.NewWorld(spec, seed^0xA5A5A5A5, noiseAmp)
-	net := MicroBenchNet(mbw, 24)
+	net, err := MicroBenchNet(mbw, 24)
+	if err != nil {
+		return core.Params{}, err
+	}
 	disks := MicroBenchDisk(mbw, 24)
 
 	// The instrumented iteration.

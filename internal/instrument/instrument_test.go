@@ -2,6 +2,7 @@ package instrument_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mheta/internal/apps"
@@ -23,7 +24,10 @@ func relErr(got, want float64) float64 {
 func TestMicroBenchNetRecoversConfiguredCosts(t *testing.T) {
 	spec := cluster.DC(8)
 	w := mpi.NewWorld(spec, 99, 0.02)
-	got := instrument.MicroBenchNet(w, 32)
+	got, err := instrument.MicroBenchNet(w, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := spec.Net
 
 	checks := []struct {
@@ -48,12 +52,28 @@ func TestMicroBenchNetRecoversConfiguredCosts(t *testing.T) {
 func TestMicroBenchNetNoiseFreeIsExact(t *testing.T) {
 	spec := cluster.DC(8)
 	w := mpi.NewWorld(spec, 99, 0)
-	got := instrument.MicroBenchNet(w, 4)
+	got, err := instrument.MicroBenchNet(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if relErr(got.SendFixed, float64(spec.Net.SendOverhead)) > 1e-9 {
 		t.Fatalf("noise-free SendFixed %v vs %v", got.SendFixed, spec.Net.SendOverhead)
 	}
 	if relErr(got.WireFixed, float64(spec.Net.Latency)) > 1e-9 {
 		t.Fatalf("noise-free WireFixed %v vs %v", got.WireFixed, spec.Net.Latency)
+	}
+}
+
+// TestCollectRejectsSingleNode pins the network micro-benchmark's
+// precondition: a one-node cluster has no link to time, so Collect
+// reports an error instead of parking rank 0 forever.
+func TestCollectRejectsSingleNode(t *testing.T) {
+	spec := cluster.DC(8)
+	spec.Nodes = spec.Nodes[:1]
+	app := apps.NewJacobi(apps.DefaultJacobiConfig())
+	_, err := instrument.Collect(spec, app, dist.Block(app.Prog.GlobalElems(), 1), 1, 0)
+	if err == nil || !strings.Contains(err.Error(), "needs 2 ranks") {
+		t.Fatalf("Collect on one node: err = %v, want the 2-rank precondition", err)
 	}
 }
 

@@ -8,6 +8,7 @@ package instrument
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"mheta/internal/core"
@@ -49,7 +50,7 @@ func unstamp(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// recvProbe is a minimal profiler capturing the last Recv's timing.
+// recvProbe is a minimal profiler capturing the last receive's timing.
 type recvProbe struct {
 	start vclock.Time
 	end   vclock.Time
@@ -62,6 +63,67 @@ func (p *recvProbe) Post(ci *mpi.CallInfo) {
 	if ci.Kind == mpi.CallRecv {
 		p.start, p.end, p.wait = ci.Start, ci.End, ci.Wait
 	}
+}
+
+const tagReady, tagData, tagStamp = 7001, 7002, 7003
+
+// netBench is one message size's timed exchange as a resumable step for
+// World.Run: rank 0 and rank 1 each loop over reps, parking at their
+// receives; every other rank finishes at once.
+type netBench struct {
+	reps    int
+	payload []byte
+	probe   recvProbe
+
+	rep   [2]int      // reps completed by ranks 0 and 1
+	ready mpi.RecvOp  // rank 0's receive of the ready token
+	pc1   int         // rank 1 within a rep: 0 send ready, 1 await data, 2 await stamp
+	recv  mpi.RecvOp  // rank 1's receive in flight
+	arriv vclock.Time // rank 1: the current rep's payload arrival
+
+	osSum, orSum, wireSum float64
+}
+
+func (b *netBench) step(r *mpi.Rank) bool {
+	switch r.Rank() {
+	case 0:
+		for ; b.rep[0] < b.reps; b.rep[0]++ {
+			if _, ok := r.TryRecv(&b.ready); !ok {
+				return false
+			}
+			t0 := r.Now()
+			r.Send(1, tagData, b.payload)
+			se := r.Now()
+			b.osSum += float64(se - t0)
+			r.Send(1, tagStamp, stamp(float64(se)))
+		}
+	case 1:
+		for b.rep[1] < b.reps {
+			switch b.pc1 {
+			case 0:
+				r.Send(0, tagReady, stamp(0))
+				b.recv = mpi.RecvOp{Src: 0, Tag: tagData}
+				b.pc1 = 1
+			case 1:
+				if _, ok := r.TryRecv(&b.recv); !ok {
+					return false
+				}
+				b.arriv = b.probe.start + vclock.Time(b.probe.wait)
+				b.orSum += float64(b.probe.end - b.arriv)
+				b.recv = mpi.RecvOp{Src: 0, Tag: tagStamp}
+				b.pc1 = 2
+			case 2:
+				data, ok := r.TryRecv(&b.recv)
+				if !ok {
+					return false
+				}
+				b.wireSum += float64(b.arriv) - unstamp(data)
+				b.pc1 = 0
+				b.rep[1]++
+			}
+		}
+	}
+	return true
 }
 
 // MicroBenchNet measures the network constants with timed exchanges
@@ -77,47 +139,30 @@ func (p *recvProbe) Post(ci *mpi.CallInfo) {
 // PMPI probe yields the receive's start, wait and end, from which the
 // arrival time, the receive overhead or(m), and — against the sender's
 // timestamp — the wire time all follow. The send overhead os(m) is timed
-// directly on rank 0.
-func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
+// directly on rank 0. A world of fewer than two ranks has no network to
+// measure and is an error.
+func MicroBenchNet(w *mpi.World, reps int) (core.NetParams, error) {
+	if w.Size() < 2 {
+		return core.NetParams{}, fmt.Errorf("instrument: the network micro-benchmark needs 2 ranks, the world has %d", w.Size())
+	}
 	if reps < 1 {
 		reps = 1
 	}
-	const tagReady, tagData, tagStamp = 7001, 7002, 7003
 	type avg struct{ os, or, wire float64 }
 	results := make(map[int]avg, 2)
 
 	for _, size := range []int{netSizeSmall, netSizeLarge} {
-		var osSum, orSum, wireSum float64
-		payload := make([]byte, size)
-		w.Run(func(r *mpi.Rank) {
-			switch r.Rank() {
-			case 0:
-				for rep := 0; rep < reps; rep++ {
-					r.Recv(1, tagReady)
-					t0 := r.Now()
-					r.Send(1, tagData, payload)
-					se := r.Now()
-					osSum += float64(se - t0)
-					r.Send(1, tagStamp, stamp(float64(se)))
-				}
-			case 1:
-				probe := &recvProbe{}
-				r.SetProfiler(probe)
-				defer r.SetProfiler(nil)
-				for rep := 0; rep < reps; rep++ {
-					r.Send(0, tagReady, stamp(0))
-					r.Recv(0, tagData)
-					arrival := probe.start + vclock.Time(probe.wait)
-					orSum += float64(probe.end - arrival)
-					se := unstamp(r.Recv(0, tagStamp))
-					wireSum += float64(arrival) - se
-				}
-			}
-		})
+		b := &netBench{reps: reps, payload: make([]byte, size), ready: mpi.RecvOp{Src: 1, Tag: tagReady}}
+		w.Rank(1).SetProfiler(&b.probe)
+		_, err := w.Run(b.step)
+		w.Rank(1).SetProfiler(nil)
+		if err != nil {
+			return core.NetParams{}, fmt.Errorf("instrument: network micro-benchmark: %w", err)
+		}
 		results[size] = avg{
-			os:   osSum / float64(reps),
-			or:   orSum / float64(reps),
-			wire: wireSum / float64(reps),
+			os:   b.osSum / float64(reps),
+			or:   b.orSum / float64(reps),
+			wire: b.wireSum / float64(reps),
 		}
 	}
 
@@ -126,19 +171,23 @@ func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
 	p.SendFixed, p.SendPerByte = linfit(s1, results[netSizeSmall].os, s2, results[netSizeLarge].os)
 	p.RecvFixed, p.RecvPerByte = linfit(s1, results[netSizeSmall].or, s2, results[netSizeLarge].or)
 	p.WireFixed, p.WirePerByte = linfit(s1, results[netSizeSmall].wire, s2, results[netSizeLarge].wire)
-	return p
+	return p, nil
 }
 
 // MicroBenchDisk measures each node's seek overheads Or and Ow — "they
 // are measured and output as node-specific data" (§4.1.1) — and the
 // prefetch issue overhead To, using timed reads and writes of a scratch
-// extent at two sizes.
+// extent at two sizes. It sends no messages, so it runs rank by rank.
+// Reads go to the disk directly, into one reused buffer: timing a read
+// does not depend on where its bytes land, and the benchmark world has
+// no profiler for FileRead's hooks to call.
 func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 	if reps < 1 {
 		reps = 1
 	}
 	cals := make([]core.DiskCal, w.Size())
-	w.Run(func(r *mpi.Rank) {
+	for p := range cals {
+		r := w.Rank(p)
 		const scratch = "__mheta_scratch__"
 		r.Disk().Create(scratch, diskSizeLarge)
 		readAvg := make(map[int]float64, 2)
@@ -148,7 +197,7 @@ func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 			var rSum, wSum float64
 			for rep := 0; rep < reps; rep++ {
 				t0 := r.Now()
-				r.FileRead(scratch, 0, size)
+				r.Disk().ReadInto(r.Clock(), scratch, 0, buf[:size])
 				rSum += float64(r.Now() - t0)
 				t1 := r.Now()
 				r.FileWrite(scratch, 0, buf[:size])
@@ -169,7 +218,7 @@ func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 		c.ReadSeek, _ = linfit(s1, readAvg[diskSizeSmall], s2, readAvg[diskSizeLarge])
 		c.WriteSeek, _ = linfit(s1, writeAvg[diskSizeSmall], s2, writeAvg[diskSizeLarge])
 		c.IssueCost = issueSum / float64(reps)
-		cals[r.Rank()] = c
-	})
+		cals[p] = c
+	}
 	return cals
 }

@@ -237,10 +237,17 @@ func TestReductionModelMatchesEmulatorExactly(t *testing.T) {
 			skews[i] = float64((i*7)%5) * 0.01 // deterministic uneven entry times
 		}
 		payload := int64(64)
-		times := w.Run(func(r *mpi.Rank) {
-			r.Compute(skews[r.Rank()], 1)
-			r.Allreduce(3, mpi.OpSum, make([]float64, payload/8))
-		})
+		sms := make([]*mpi.AllreduceSM, n)
+		if _, err := w.Run(func(r *mpi.Rank) bool {
+			p := r.Rank()
+			if sms[p] == nil {
+				r.Compute(skews[p], 1)
+				sms[p] = &mpi.AllreduceSM{Tag: 3, Op: mpi.OpSum, Vals: make([]float64, payload/8)}
+			}
+			return sms[p].Step(r)
+		}); err != nil {
+			t.Fatal(err)
+		}
 
 		// Build a one-section reduction model with compute rates equal to
 		// the skews (1 element per node).
@@ -271,7 +278,7 @@ func TestReductionModelMatchesEmulatorExactly(t *testing.T) {
 		pred := model.PredictDetailed(d)
 		for i := 0; i < n; i++ {
 			got := pred.SectionTimes[0][i]
-			want := float64(times[i])
+			want := float64(w.Rank(i).Now())
 			if diff := got - want; diff < -1e-12 || diff > 1e-12 {
 				t.Fatalf("n=%d rank %d: model %.12f vs emulator %.12f", n, i, got, want)
 			}

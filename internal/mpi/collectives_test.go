@@ -8,18 +8,18 @@ import (
 func TestReduceSumToRoot(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8} {
 		w := NewWorld(testSpec(n), 1, 0)
-		results := make([][]float64, n)
-		w.Run(func(r *Rank) {
-			vals := []float64{float64(r.Rank() + 1), 1}
-			results[r.Rank()] = r.Reduce(0, 3, OpSum, vals)
-		})
+		sms := make([]ReduceSM, n)
+		run(t, w, all(n, func(p int) []op {
+			sms[p] = ReduceSM{Root: 0, Tag: 3, Op: OpSum, Vals: []float64{float64(p + 1), 1}}
+			return []op{sms[p].Step}
+		}))
 		want := float64(n*(n+1)) / 2
-		if results[0][0] != want || results[0][1] != float64(n) {
-			t.Fatalf("n=%d: root got %v, want [%v %v]", n, results[0], want, n)
+		if got := sms[0].Result(); got[0] != want || got[1] != float64(n) {
+			t.Fatalf("n=%d: root got %v, want [%v %v]", n, got, want, n)
 		}
 		for p := 1; p < n; p++ {
-			if results[p] != nil {
-				t.Fatalf("n=%d: non-root rank %d got %v", n, p, results[p])
+			if got := sms[p].Result(); got != nil {
+				t.Fatalf("n=%d: non-root rank %d got %v", n, p, got)
 			}
 		}
 	}
@@ -28,48 +28,49 @@ func TestReduceSumToRoot(t *testing.T) {
 func TestReduceNonZeroRoot(t *testing.T) {
 	const n = 6
 	w := NewWorld(testSpec(n), 1, 0)
-	results := make([][]float64, n)
-	w.Run(func(r *Rank) {
-		results[r.Rank()] = r.Reduce(3, 4, OpSum, []float64{1})
-	})
-	if results[3] == nil || results[3][0] != n {
-		t.Fatalf("root 3 got %v", results[3])
+	sms := make([]ReduceSM, n)
+	run(t, w, all(n, func(p int) []op {
+		sms[p] = ReduceSM{Root: 3, Tag: 4, Op: OpSum, Vals: []float64{1}}
+		return []op{sms[p].Step}
+	}))
+	if got := sms[3].Result(); got == nil || got[0] != n {
+		t.Fatalf("root 3 got %v", got)
+	}
+	if got := sms[0].Result(); got != nil {
+		t.Fatalf("rank 0 is not the root but got %v", got)
 	}
 }
 
 func TestReduceOps(t *testing.T) {
 	const n = 4
 	w := NewWorld(testSpec(n), 1, 0)
-	var maxRes, minRes []float64
-	w.Run(func(r *Rank) {
-		v := float64(r.Rank())
-		m1 := r.Reduce(0, 1, OpMax, []float64{v})
-		m2 := r.Reduce(0, 2, OpMin, []float64{v})
-		if r.Rank() == 0 {
-			maxRes, minRes = m1, m2
-		}
-	})
-	if maxRes[0] != 3 || minRes[0] != 0 {
-		t.Fatalf("max %v min %v", maxRes, minRes)
+	maxs, mins := make([]ReduceSM, n), make([]ReduceSM, n)
+	run(t, w, all(n, func(p int) []op {
+		v := []float64{float64(p)}
+		maxs[p] = ReduceSM{Root: 0, Tag: 1, Op: OpMax, Vals: v}
+		mins[p] = ReduceSM{Root: 0, Tag: 2, Op: OpMin, Vals: v}
+		return []op{maxs[p].Step, mins[p].Step}
+	}))
+	if maxs[0].Result()[0] != 3 || mins[0].Result()[0] != 0 {
+		t.Fatalf("max %v min %v", maxs[0].Result(), mins[0].Result())
 	}
 }
 
 func TestBcast(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		w := NewWorld(testSpec(n), 1, 0)
-		results := make([][]float64, n)
-		w.Run(func(r *Rank) {
-			var vals []float64
-			if r.Rank() == 0 {
+		sms := make([]BcastSM, n)
+		run(t, w, all(n, func(p int) []op {
+			vals := make([]float64, 2)
+			if p == 0 {
 				vals = []float64{3.25, -1}
-			} else {
-				vals = make([]float64, 2)
 			}
-			results[r.Rank()] = r.Bcast(0, 5, vals)
-		})
+			sms[p] = BcastSM{Root: 0, Tag: 5, Vals: vals}
+			return []op{sms[p].Step}
+		}))
 		for p := 0; p < n; p++ {
-			if results[p][0] != 3.25 || results[p][1] != -1 {
-				t.Fatalf("n=%d rank %d got %v", n, p, results[p])
+			if got := sms[p].Result(); got[0] != 3.25 || got[1] != -1 {
+				t.Fatalf("n=%d rank %d got %v", n, p, got)
 			}
 		}
 	}
@@ -78,14 +79,15 @@ func TestBcast(t *testing.T) {
 func TestAllreduceEveryoneGetsSum(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 6, 8} {
 		w := NewWorld(testSpec(n), 1, 0)
-		results := make([][]float64, n)
-		w.Run(func(r *Rank) {
-			results[r.Rank()] = r.Allreduce(7, OpSum, []float64{float64(r.Rank() + 1)})
-		})
+		sms := make([]AllreduceSM, n)
+		run(t, w, all(n, func(p int) []op {
+			sms[p] = AllreduceSM{Tag: 7, Op: OpSum, Vals: []float64{float64(p + 1)}}
+			return []op{sms[p].Step}
+		}))
 		want := float64(n*(n+1)) / 2
 		for p := 0; p < n; p++ {
-			if results[p][0] != want {
-				t.Fatalf("n=%d rank %d got %v, want %v", n, p, results[p][0], want)
+			if got := sms[p].Result()[0]; got != want {
+				t.Fatalf("n=%d rank %d got %v, want %v", n, p, got, want)
 			}
 		}
 	}
@@ -96,16 +98,17 @@ func TestAllreduceGatherPattern(t *testing.T) {
 	// pattern CG and Lanczos use for their p/v gathers.
 	const n = 4
 	w := NewWorld(testSpec(n), 1, 0)
-	results := make([][]float64, n)
-	w.Run(func(r *Rank) {
+	sms := make([]AllreduceSM, n)
+	run(t, w, all(n, func(p int) []op {
 		vals := make([]float64, n)
-		vals[r.Rank()] = float64(10 + r.Rank())
-		results[r.Rank()] = r.Allreduce(8, OpSum, vals)
-	})
+		vals[p] = float64(10 + p)
+		sms[p] = AllreduceSM{Tag: 8, Op: OpSum, Vals: vals}
+		return []op{sms[p].Step}
+	}))
 	for p := 0; p < n; p++ {
-		for i := 0; i < n; i++ {
-			if results[p][i] != float64(10+i) {
-				t.Fatalf("rank %d slot %d = %v", p, i, results[p][i])
+		for i, v := range sms[p].Result() {
+			if v != float64(10+i) {
+				t.Fatalf("rank %d slot %d = %v", p, i, v)
 			}
 		}
 	}
@@ -114,13 +117,17 @@ func TestAllreduceGatherPattern(t *testing.T) {
 func TestBarrierAlignsClocks(t *testing.T) {
 	const n = 4
 	w := NewWorld(testSpec(n), 1, 0)
-	times := w.Run(func(r *Rank) {
-		// Rank 2 is far ahead; everyone must wait for it.
-		if r.Rank() == 2 {
-			r.Compute(100, 0.01) // 1s
+	times := run(t, w, all(n, func(p int) []op {
+		return []op{
+			// Rank 2 is far ahead; everyone must wait for it.
+			do(func(r *Rank) {
+				if p == 2 {
+					r.Compute(100, 0.01) // 1s
+				}
+			}),
+			(&BarrierSM{Tag: 1}).Step,
 		}
-		r.Barrier(1)
-	})
+	}))
 	for p := 0; p < n; p++ {
 		if float64(times[p]) < 1.0 {
 			t.Fatalf("rank %d finished barrier at %v, before the straggler", p, times[p])
@@ -133,10 +140,9 @@ func TestBarrierMakesLaterRecvTimingsExact(t *testing.T) {
 	// so this documents the collectives' skew is bounded.
 	const n = 8
 	w := NewWorld(testSpec(n), 1, 0)
-	times := w.Run(func(r *Rank) {
-		r.Compute(float64(r.Rank()), 0.001)
-		r.Barrier(1)
-	})
+	times := run(t, w, all(n, func(p int) []op {
+		return []op{do(func(r *Rank) { r.Compute(float64(p), 0.001) }), (&BarrierSM{Tag: 1}).Step}
+	}))
 	max, min := float64(times[0]), float64(times[0])
 	for _, tm := range times {
 		if float64(tm) > max {
@@ -151,40 +157,20 @@ func TestBarrierMakesLaterRecvTimingsExact(t *testing.T) {
 	}
 }
 
-func TestBcastBytes(t *testing.T) {
-	const n = 5
-	w := NewWorld(testSpec(n), 1, 0)
-	results := make([][]byte, n)
-	w.Run(func(r *Rank) {
-		var data []byte
-		if r.Rank() == 0 {
-			data = []byte("broadcast me")
-		}
-		results[r.Rank()] = r.BcastBytes(0, 6, data)
-	})
-	for p := 0; p < n; p++ {
-		if string(results[p]) != "broadcast me" {
-			t.Fatalf("rank %d got %q", p, results[p])
-		}
-	}
-}
-
 func TestReduceNaNSafety(t *testing.T) {
 	// Collectives must pass values through unchanged, including specials.
 	const n = 2
 	w := NewWorld(testSpec(n), 1, 0)
-	var got []float64
-	w.Run(func(r *Rank) {
+	sms := make([]ReduceSM, n)
+	run(t, w, all(n, func(p int) []op {
 		v := math.Inf(1)
-		if r.Rank() == 1 {
+		if p == 1 {
 			v = 1
 		}
-		res := r.Reduce(0, 1, OpMax, []float64{v})
-		if r.Rank() == 0 {
-			got = res
-		}
-	})
-	if !math.IsInf(got[0], 1) {
+		sms[p] = ReduceSM{Root: 0, Tag: 1, Op: OpMax, Vals: []float64{v}}
+		return []op{sms[p].Step}
+	}))
+	if got := sms[0].Result(); !math.IsInf(got[0], 1) {
 		t.Fatalf("got %v", got)
 	}
 }

@@ -1,59 +1,53 @@
 package mpi
 
-// Event-mode primitives: the same runtime operations as the goroutine
-// core, restructured as resumable state machines for the discrete-event
-// engine (internal/sched, DESIGN.md §5.13).
+// Resumable operations: the receive and the collectives as state
+// machines that World.Run's step functions drive (DESIGN.md §5.13).
 //
-// The only operation that blocks on another rank is Recv; everything
-// else advances the calling rank's own clock. So a rank's program can
-// be interpreted as straight-line code with explicit park points at
-// each receive: TryRecv either completes a receive exactly like Recv,
-// or parks the rank in the scheduler and returns false, to be retried
-// after the matching Send wakes it.
+// The only operation that blocks on another rank is a receive;
+// everything else advances the calling rank's own clock. So a rank's
+// program is straight-line code with explicit park points at each
+// receive: TryRecv either completes the receive or parks the rank in
+// the scheduler and returns false, to be retried after the matching
+// Send wakes it. The collectives compose TryRecv over binomial trees,
+// each a state machine that resumes where it parked.
 //
-// Bit-identity with the goroutine core follows from two properties,
-// both enforced here:
+// Determinism follows from two properties, both enforced here:
 //
-//  1. Per-rank op order is identical — every pre/post hook, clock
-//     advance, and noise draw happens in the same program order, with
-//     pre fired once per logical call (before the first match attempt,
-//     as Recv fires it before mailbox.take blocks).
-//  2. Message matching is identical — sched's per-(src,dst) FIFO with
-//     tag filtering is byte-for-byte the mailbox.take rule, and the
-//     collective state machines replay the exact binomial-tree
-//     schedule (same internal tags, same send/recv sequence) of
-//     collectives.go.
+//  1. Per-rank op order is fixed by the rank's program — every pre/post
+//     hook, clock advance, and noise draw happens in program order, with
+//     Pre fired once per logical call (before the first match attempt,
+//     however often the receive parks).
+//  2. Message matching is per-(src,dst) FIFO with tag filtering, so a
+//     receive's match does not depend on when it is attempted.
 //
 // Since all cross-rank data flow is message timestamps, any dispatch
 // order the scheduler picks yields the same clocks, traces and
 // recorder contents.
 
-import (
-	"mheta/internal/sched"
-	"mheta/internal/vclock"
-)
+import "mheta/internal/vclock"
 
-// RecvOp is one event-mode receive in flight. Set Src and Tag, then
-// call TryRecv until it succeeds; the op fires the profiler's Pre hook
-// on the first attempt only and keeps its start time across parks, so
-// hooks fire exactly once per logical receive, like Recv. A completed op
-// is ready for the next receive.
+// RecvOp is one receive in flight. Set Src and Tag, then call TryRecv
+// until it succeeds; the op fires the profiler's Pre hook on the first
+// attempt only and keeps its start time across parks, so hooks fire
+// exactly once per logical receive. A completed op is ready for the
+// next receive.
 type RecvOp struct {
 	Src, Tag int
 	started  bool
 	start    vclock.Time
 }
 
-// TryRecv attempts the receive described by op. On a match it performs
-// the full Recv timing (wait to arrival, charge or(m), Post hook) and
-// returns the payload, which the scheduler copied at Send and the caller
-// now owns. On a miss it parks the rank on (src, tag) in the bound
-// scheduler and returns false; the driver must suspend the rank until
-// the scheduler dispatches it again, then retry the same op.
+// TryRecv attempts the receive described by op. On a match it waits
+// (in virtual time) for the message's arrival, charges or(m), fires the
+// Post hook and returns the payload, which the scheduler copied at Send
+// and the caller now owns. On a miss it parks the rank on (src, tag)
+// and returns false; the step must then return false, and World.Run
+// calls it again once the matching Send wakes the rank, to retry the
+// same op.
 func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 	s := r.world.sched
 	if s == nil {
-		panic("mpi: TryRecv without a bound scheduler")
+		panic("mpi: TryRecv outside World.Run")
 	}
 	if op.Src == r.rank {
 		panic("mpi: Recv from self")
@@ -76,16 +70,14 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 	return m.Data, true
 }
 
-// Scheduler returns the bound scheduler, or nil outside event mode.
-func (w *World) Scheduler() *sched.Scheduler { return w.sched }
-
 // The collective state machines below are allocated per collective and
 // dropped when it completes. While a barrier is in flight every rank
 // holds one, so they keep a start time rather than a CallInfo.
 
-// ReduceSM is Reduce as a resumable state machine: same binomial tree,
-// same internal tag, same hook sequence. Step returns false when the
-// rank parked mid-tree; retry after the scheduler redispatches.
+// ReduceSM combines each rank's Vals element-wise with Op onto Root over
+// a binomial tree. Every rank in the world runs one with the same Root,
+// Tag, Op and length. Step returns false when the rank parked mid-tree;
+// retry after the scheduler redispatches.
 type ReduceSM struct {
 	Root, Tag int
 	Op        ReduceOp
@@ -137,8 +129,8 @@ func (s *ReduceSM) Step(r *Rank) bool {
 	return true
 }
 
-// Result returns the combined vector on the root, nil elsewhere
-// (Reduce's contract). Valid once Step returned true.
+// Result returns the combined vector on the root, nil elsewhere. Valid
+// once Step returned true.
 func (s *ReduceSM) Result() []float64 {
 	if s.sent {
 		return nil
@@ -146,10 +138,10 @@ func (s *ReduceSM) Result() []float64 {
 	return s.acc
 }
 
-// BcastSM is Bcast as a resumable state machine (one park point: the
-// receive from the parent; forwarding to children never blocks). On
-// non-root ranks Vals sizes the call and its storage receives the root's
-// vector; AllreduceSM passes a buffer of its own.
+// BcastSM distributes Root's Vals to every rank over a binomial tree
+// (one park point: the receive from the parent; forwarding to children
+// never blocks). On non-root ranks Vals sizes the call and its storage
+// receives the root's vector; AllreduceSM passes a buffer of its own.
 type BcastSM struct {
 	Root, Tag int
 	Vals      []float64
@@ -207,10 +199,11 @@ func (s *BcastSM) Step(r *Rank) bool {
 // Result returns the broadcast vector. Valid once Step returned true.
 func (s *BcastSM) Result() []float64 { return s.vals }
 
-// AllreduceSM composes ReduceSM to rank 0 with BcastSM from rank 0,
-// exactly like Allreduce. Both halves are embedded, and the broadcast
-// reuses the reduction's accumulator as its buffer, so an allreduce
-// allocates at most that one vector beyond the machine itself.
+// AllreduceSM composes ReduceSM to rank 0 with BcastSM from rank 0, the
+// structure the MHETA reduction model mirrors. Both halves are embedded,
+// and the broadcast reuses the reduction's accumulator as its buffer, so
+// an allreduce allocates at most that one vector beyond the machine
+// itself.
 type AllreduceSM struct {
 	Tag  int
 	Op   ReduceOp
@@ -232,7 +225,7 @@ func (s *AllreduceSM) Step(r *Rank) bool {
 			return false
 		}
 		// Root: the combined vector. Elsewhere: a len(Vals) buffer the
-		// broadcast overwrites, as Allreduce's fresh zero vector is.
+		// broadcast overwrites.
 		s.bcast = BcastSM{Root: 0, Tag: s.Tag, Vals: s.reduce.acc}
 		s.reduced = true
 	}
@@ -243,8 +236,8 @@ func (s *AllreduceSM) Step(r *Rank) bool {
 // once Step returned true.
 func (s *AllreduceSM) Result() []float64 { return s.bcast.Result() }
 
-// BarrierSM wraps AllreduceSM in the Barrier CallInfo, exactly like
-// Barrier.
+// BarrierSM synchronises all ranks: an empty AllreduceSM wrapped in the
+// Barrier CallInfo.
 type BarrierSM struct {
 	Tag int
 

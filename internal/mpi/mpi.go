@@ -2,15 +2,13 @@
 // in-process analogue of LAM-MPI (the paper's substrate) in which each
 // rank has its own virtual clock, disk, and noise streams.
 //
-// Two engines drive the ranks. The goroutine engine (World.Run) runs
-// each rank on its own goroutine, delivering through blocking
-// per-(src,dst) mailboxes. The event engine (BindScheduler plus the
-// resumable operations in event.go) runs every rank from one driver
-// goroutine that dispatches from internal/sched's event heap: a receive
-// that finds no message parks the rank instead of blocking. Either way a
-// rank's operations run on one goroutine at a time, so per-rank state
-// (clock, noise streams, the CallInfo its profiler hooks receive) needs
-// no locking.
+// World.Run drives every rank from one goroutine that dispatches from
+// internal/sched's event heap. A rank's program is a resumable step
+// function: it runs straight-line until a receive finds no message, at
+// which point TryRecv parks the rank in the scheduler and the step
+// returns false; the matching Send wakes it and the driver resumes it.
+// One goroutine runs every rank, so per-rank state (clock, noise
+// streams, the CallInfo its profiler hooks receive) needs no locking.
 //
 // Timing semantics mirror what MHETA models (§4.2.2):
 //
@@ -20,22 +18,21 @@
 //     copies the payload, so the caller may reuse its buffer at once.
 //   - A message becomes available at the receiver at
 //     sendFinish + transferTime.
-//   - Recv blocks (in virtual time) until availability, then charges the
-//     receiver or(m). The blocked span is the Twait of Equation 3/4.
-//   - Collectives are built from Send/Recv over a binomial tree, so their
-//     virtual-time behaviour follows from the point-to-point rules and the
-//     model can reproduce it arithmetically.
+//   - A receive waits (in virtual time) until availability, then charges
+//     the receiver or(m). The waited span is the Twait of Equation 3/4.
+//   - Collectives are built from Send and receive over a binomial tree,
+//     so their virtual-time behaviour follows from the point-to-point
+//     rules and the model can reproduce it arithmetically.
 //
 // Cross-rank coupling happens only through message timestamps, which
 // is sufficient because the applications' communication is deterministic:
-// every Recv names its source and tag, so matching is unambiguous and the
-// virtual-time outcome is independent of the host scheduler or of the
-// order the event heap dispatches ranks in.
+// every receive names its source and tag, so matching is unambiguous and
+// the virtual-time outcome is independent of the order the event heap
+// dispatches ranks in.
 package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"mheta/internal/cluster"
 	"mheta/internal/disksim"
@@ -44,7 +41,7 @@ import (
 	"mheta/internal/vclock"
 )
 
-// AnyTag matches any message tag in Recv.
+// AnyTag matches any message tag in a receive.
 const AnyTag = -1
 
 // Tags at or above reservedTagBase are reserved for collectives.
@@ -108,66 +105,15 @@ type Profiler interface {
 	Post(*CallInfo)
 }
 
-type message struct {
-	tag     int
-	data    []byte
-	arrival vclock.Time
-}
-
-// mailbox is an unbounded FIFO of messages for one (src,dst) pair.
-// Unbounded buffering keeps sends non-blocking, matching the model's
-// assumption that send overhead is paid immediately and the message is
-// then "on route".
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []message //mheta:guardedby mu
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) put(msg message) {
-	m.mu.Lock()
-	m.msgs = append(m.msgs, msg)
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// take removes and returns the first message matching tag (or the first
-// message of any tag when tag == AnyTag), blocking until one exists.
-// Per-pair FIFO order among equal tags is preserved, as in MPI.
-func (m *mailbox) take(tag int) message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i, msg := range m.msgs {
-			if tag == AnyTag || msg.tag == tag {
-				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
-				return msg
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// World is one emulated cluster run: ranks, mailboxes, network and disks.
+// World is one emulated cluster run: ranks, network and disks.
 type World struct {
 	spec cluster.Spec
 	net  *netsim.Network
 	// ranks is flat, each rank holding its clock and noise streams by
 	// value: a world allocates its ranks in one piece plus a disk each.
 	ranks []Rank
-	// Mailboxes are created lazily per communicating (src,dst) pair: the
-	// applications' patterns (chains, binomial trees) touch O(n·log n)
-	// pairs, so eager n² allocation would dominate memory at 10k+ ranks.
-	boxMu sync.Mutex
-	boxes map[uint64]*mailbox //mheta:guardedby boxMu
-	// sched, when bound, replaces goroutine mailbox delivery with the
-	// discrete-event scheduler (see BindScheduler).
+	// sched delivers messages and parks receivers while Run drives the
+	// ranks; nil between runs.
 	sched *sched.Scheduler
 }
 
@@ -181,12 +127,11 @@ func NewWorld(spec cluster.Spec, seed uint64, noiseAmp float64) *World {
 	n := spec.N()
 	root := vclock.NewNoise(seed, noiseAmp)
 	// The network's cost model is shared and read-only; perturbation
-	// happens per rank (netNz below) so concurrent ranks neither race on
-	// a noise stream nor make each other's draws schedule-dependent.
+	// happens per rank (netNz below) so a rank's draws do not depend on
+	// the order ranks are dispatched in.
 	w := &World{
 		spec:  spec,
 		net:   netsim.New(n, spec.Net, nil),
-		boxes: make(map[uint64]*mailbox),
 		ranks: make([]Rank, n),
 	}
 	for i := range w.ranks {
@@ -214,39 +159,43 @@ func (w *World) Spec() cluster.Spec { return w.spec }
 // inspection).
 func (w *World) Rank(r int) *Rank { return &w.ranks[r] }
 
-// Run executes fn once per rank, concurrently, and returns each rank's
-// final virtual time. It panics if any rank panics (after all finish or
-// deadlock — application bugs surface as Go deadlock reports).
-func (w *World) Run(fn func(r *Rank)) []vclock.Time {
-	if w.sched != nil {
-		panic("mpi: World.Run while a scheduler is bound")
+// Run drives every rank from one discrete-event scheduler until each
+// rank's step has returned true. A rank starts ready at its current
+// clock; step runs it forward and returns false when it parked in a
+// receive (TryRecv), and the driver calls step again once the matching
+// Send wakes the rank. A rank panic is re-raised as "mpi: rank %d
+// panicked: …". If every unfinished rank is parked, Run returns an
+// error carrying the scheduler's DumpState instead of hanging. The
+// returned counters cover this run only.
+func (w *World) Run(step func(*Rank) bool) (sched.Stats, error) {
+	n := w.Size()
+	s := sched.New(n)
+	w.sched = s
+	defer func() { w.sched = nil }()
+	for p := range w.ranks {
+		s.Ready(p, w.ranks[p].clk.Now())
 	}
-	var wg sync.WaitGroup
-	panics := make([]any, w.Size())
-	for i := range w.ranks {
-		wg.Add(1)
-		//mheta:lifecycle waitgroup
-		go func(r *Rank) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[r.rank] = p
-				}
-			}()
-			fn(r)
-		}(&w.ranks[i])
-	}
-	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, p))
+	for remaining := n; remaining > 0; {
+		p, ok := s.Next()
+		if !ok {
+			return s.Stats(), fmt.Errorf("mpi: deadlock with %d of %d ranks unfinished: %s", remaining, n, s.DumpState())
+		}
+		if resume(step, &w.ranks[p]) {
+			remaining--
 		}
 	}
-	times := make([]vclock.Time, w.Size())
-	for i := range w.ranks {
-		times[i] = w.ranks[i].clk.Now()
-	}
-	return times
+	return s.Stats(), nil
+}
+
+// resume runs step on rank r, converting a panic into a report naming
+// the rank.
+func resume(step func(*Rank) bool, r *Rank) bool {
+	defer func() {
+		if p := recover(); p != nil {
+			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r.rank, p))
+		}
+	}()
+	return step(r)
 }
 
 // ResetClocks rewinds every rank's clock and disk service queue so the
@@ -256,48 +205,12 @@ func (w *World) ResetClocks() {
 		w.ranks[i].clk.Reset()
 		w.ranks[i].disk.ResetTiming()
 	}
-	w.boxMu.Lock()
-	w.boxes = make(map[uint64]*mailbox)
-	w.boxMu.Unlock()
 }
 
-func boxKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
-// box returns the (src,dst) mailbox, creating it on first use. Both the
-// sender and the receiver race to create it, hence the lock; contention
-// is negligible because each pair is touched repeatedly after the first
-// message.
-func (w *World) box(src, dst int) *mailbox {
-	key := boxKey(src, dst)
-	w.boxMu.Lock()
-	b := w.boxes[key]
-	if b == nil {
-		b = newMailbox()
-		w.boxes[key] = b
-	}
-	w.boxMu.Unlock()
-	return b
-}
-
-// BindScheduler routes message delivery through the discrete-event
-// scheduler s instead of the goroutine mailboxes. While bound, all
-// ranks must be driven from s's single dispatch loop (the exec event
-// engine): blocking Recv panics — parking receivers use TryRecv — and
-// World.Run must not be called.
-func (w *World) BindScheduler(s *sched.Scheduler) {
-	if s != nil && s.Size() != w.Size() {
-		panic(fmt.Sprintf("mpi: scheduler for %d ranks bound to a %d-rank world", s.Size(), w.Size()))
-	}
-	w.sched = s
-}
-
-// UnbindScheduler restores goroutine (blocking) delivery.
-func (w *World) UnbindScheduler() { w.sched = nil }
-
-// Rank is one process of the emulated application. All methods must be
-// called from the rank's own goroutine (inside World.Run) except the
-// data-placement helpers Disk and SetProfiler, which are used before the
-// run starts.
+// Rank is one process of the emulated application. Send and TryRecv
+// work only inside World.Run, from the rank's own step; the rank-local
+// operations (Compute, the file calls) and the data-placement helpers
+// Disk and SetProfiler work outside it as well.
 type Rank struct {
 	world    *World
 	rank     int
@@ -312,9 +225,9 @@ type Rank struct {
 	// ci is the CallInfo every profiler hook of this rank receives.
 	// Operations describe themselves by value and copy into it only to
 	// call a hook (begin/end), so no operation allocates one. A rank's
-	// operations run on one goroutine at a time under either engine and
-	// no profiler keeps the pointer past its hook, so one per rank
-	// suffices even though collectives nest.
+	// operations run on one goroutine and no profiler keeps the pointer
+	// past its hook, so one per rank suffices even though collectives
+	// nest.
 	ci CallInfo
 	// enc is the collectives' scratch for encoding a vector to send.
 	enc []byte
@@ -421,49 +334,20 @@ func (r *Rank) Compute(work, unitCost float64) {
 }
 
 // Send transmits data to rank dst with the given tag. It charges the
-// sender os(m) and never blocks.
+// sender os(m) and never blocks. The scheduler copies the payload into
+// its arena, so the caller may reuse data at once.
 func (r *Rank) Send(dst, tag int, data []byte) {
 	if dst == r.rank {
 		panic("mpi: Send to self")
+	}
+	s := r.world.sched
+	if s == nil {
+		panic("mpi: Send outside World.Run")
 	}
 	c := CallInfo{Kind: CallSend, Peer: dst, Bytes: len(data), Tag: tag}
 	start := r.begin(c)
 	r.clk.Advance(r.netNz.Perturb(r.world.net.SendCost(r.rank, dst, len(data))))
 	arrival := r.clk.Now() + vclock.Time(r.netNz.Perturb(r.world.net.TransferTime(r.rank, dst, len(data))))
-	// Both paths copy the payload: the scheduler into its arena, the
-	// mailbox into a buffer of its own.
-	if s := r.world.sched; s != nil {
-		s.Send(r.rank, dst, sched.Msg{Tag: tag, Data: data, Arrival: arrival})
-	} else {
-		payload := append([]byte(nil), data...)
-		r.world.box(r.rank, dst).put(message{tag: tag, data: payload, arrival: arrival})
-	}
+	s.Send(r.rank, dst, sched.Msg{Tag: tag, Data: data, Arrival: arrival})
 	r.end(c, start)
-}
-
-// Recv blocks until a matching message from src arrives, advances the
-// clock to its arrival time, charges or(m), and returns the payload.
-func (r *Rank) Recv(src, tag int) []byte {
-	if src == r.rank {
-		panic("mpi: Recv from self")
-	}
-	if r.world.sched != nil {
-		panic("mpi: blocking Recv under the event engine; drivers must use TryRecv")
-	}
-	c := CallInfo{Kind: CallRecv, Peer: src, Tag: tag}
-	start := r.begin(c)
-	msg := r.world.box(src, r.rank).take(tag)
-	c.Bytes = len(msg.data)
-	c.Wait = r.clk.WaitUntil(msg.arrival)
-	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(src, r.rank, len(msg.data))))
-	r.end(c, start)
-	return msg.data
-}
-
-// Sendrecv sends to dst and receives from src (possibly the same rank on
-// both sides of a boundary exchange). The send happens first, matching
-// the model's assumption that sends precede blocking.
-func (r *Rank) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte {
-	r.Send(dst, sendTag, data)
-	return r.Recv(src, recvTag)
 }

@@ -1,12 +1,11 @@
 package mpi
 
 import (
-	"sync"
+	"strings"
 	"testing"
 
 	"mheta/internal/cluster"
 	"mheta/internal/netsim"
-	"mheta/internal/sched"
 	"mheta/internal/vclock"
 )
 
@@ -21,41 +20,93 @@ func testSpec(n int) cluster.Spec {
 	return spec
 }
 
+// op is one operation of a test rank's program: it returns false when
+// it parked in a receive, and is called again once the rank is woken.
+type op func(r *Rank) bool
+
+// do wraps rank-local code that never parks.
+func do(f func(r *Rank)) op { return func(r *Rank) bool { f(r); return true } }
+
+// send is a Send as an op.
+func send(dst, tag int, data []byte) op {
+	return do(func(r *Rank) { r.Send(dst, tag, data) })
+}
+
+// recv receives from src with tag, parking until the message is sent,
+// and stores the payload in *out when out is non-nil.
+func recv(src, tag int, out *[]byte) op {
+	ro := RecvOp{Src: src, Tag: tag}
+	return func(r *Rank) bool {
+		data, ok := r.TryRecv(&ro)
+		if ok && out != nil {
+			*out = data
+		}
+		return ok
+	}
+}
+
+// run drives the per-rank programs (ranks without one finish at once)
+// through World.Run and returns each rank's final clock.
+func run(t *testing.T, w *World, progs map[int][]op) []vclock.Time {
+	t.Helper()
+	pc := make([]int, w.Size())
+	_, err := w.Run(func(r *Rank) bool {
+		ops := progs[r.Rank()]
+		for ; pc[r.Rank()] < len(ops); pc[r.Rank()]++ {
+			if !ops[pc[r.Rank()]](r) {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := make([]vclock.Time, w.Size())
+	for p := range times {
+		times[p] = w.Rank(p).Now()
+	}
+	return times
+}
+
+// all gives every one of n ranks the program prog(rank).
+func all(n int, prog func(rank int) []op) map[int][]op {
+	progs := make(map[int][]op, n)
+	for p := 0; p < n; p++ {
+		progs[p] = prog(p)
+	}
+	return progs
+}
+
 func TestSendRecvDelivers(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 5, []byte("payload"))
-		case 1:
-			got = r.Recv(0, 5)
-		}
+	run(t, w, map[int][]op{
+		0: {send(1, 5, []byte("payload"))},
+		1: {recv(0, 5, &got)},
 	})
 	if string(got) != "payload" {
 		t.Fatalf("got %q", got)
 	}
 }
 
+// TestRecvTimingBlockedReceiver has rank 0 receive, so it is dispatched
+// first and parks before rank 1 sends: the wait is charged on wake.
 func TestRecvTimingBlockedReceiver(t *testing.T) {
 	spec := testSpec(2)
 	w := NewWorld(spec, 1, 0)
 	net := spec.Net
-	times := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, make([]byte, 100))
-		case 1:
-			r.Recv(0, 1)
-		}
+	times := run(t, w, map[int][]op{
+		0: {recv(1, 1, nil)},
+		1: {send(0, 1, make([]byte, 100))},
 	})
 	// Receiver finishes at os + wire + or.
 	want := float64(net.SendCost(100) + net.TransferTime(100) + net.RecvCost(100))
-	if got := float64(times[1]); !close(got, want) {
+	if got := float64(times[0]); !close(got, want) {
 		t.Fatalf("receiver at %v, want %v", got, want)
 	}
 	// Sender finishes after just the send overhead.
-	if got := float64(times[0]); !close(got, float64(net.SendCost(100))) {
+	if got := float64(times[1]); !close(got, float64(net.SendCost(100))) {
 		t.Fatalf("sender at %v", got)
 	}
 }
@@ -70,14 +121,10 @@ func TestRecvTimingLateReceiverPaysNoWait(t *testing.T) {
 	w := NewWorld(spec, 1, 0)
 	net := spec.Net
 	const delay = 1.0
-	times := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, make([]byte, 100))
-		case 1:
-			r.Compute(delay, 1) // arrive late: message already there
-			r.Recv(0, 1)
-		}
+	times := run(t, w, map[int][]op{
+		0: {send(1, 1, make([]byte, 100))},
+		// Arrive late: the message is already there.
+		1: {do(func(r *Rank) { r.Compute(delay, 1) }), recv(0, 1, nil)},
 	})
 	want := delay + float64(net.RecvCost(100))
 	if got := float64(times[1]); !close(got, want) {
@@ -88,36 +135,29 @@ func TestRecvTimingLateReceiverPaysNoWait(t *testing.T) {
 func TestSendNeverBlocks(t *testing.T) {
 	spec := testSpec(2)
 	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			for i := 0; i < 100; i++ {
-				r.Send(1, 1, make([]byte, 10))
-			}
-		} else {
-			r.Compute(5, 1)
-			for i := 0; i < 100; i++ {
-				r.Recv(0, 1)
-			}
-		}
-	})
+	var sender, receiver []op
+	receiver = append(receiver, do(func(r *Rank) { r.Compute(5, 1) }))
+	for i := 0; i < 100; i++ {
+		sender = append(sender, send(1, 1, make([]byte, 10)))
+		receiver = append(receiver, recv(0, 1, nil))
+	}
+	times := run(t, w, map[int][]op{0: sender, 1: receiver})
 	// Sender's time is 100 sends only, far below the receiver's 5s.
 	if times[0] >= 1 {
 		t.Fatalf("sender blocked: %v", times[0])
 	}
 }
 
+// The matching tests make rank 0 the receiver: it runs first and parks
+// on its first receive, so matching is exercised on wake as well as on
+// messages already queued.
+
 func TestTagMatchingOutOfOrder(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var first, second []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, []byte("one"))
-			r.Send(1, 2, []byte("two"))
-		case 1:
-			second = r.Recv(0, 2) // posted first, matches tag 2
-			first = r.Recv(0, 1)
-		}
+	run(t, w, map[int][]op{
+		0: {recv(1, 2, &second), recv(1, 1, &first)}, // tag 2 posted first
+		1: {send(0, 1, []byte("one")), send(0, 2, []byte("two"))},
 	})
 	if string(first) != "one" || string(second) != "two" {
 		t.Fatalf("got %q, %q", first, second)
@@ -126,34 +166,22 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 
 func TestFIFOWithinTag(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
-	var got []string
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, []byte("a"))
-			r.Send(1, 1, []byte("b"))
-			r.Send(1, 1, []byte("c"))
-		case 1:
-			for i := 0; i < 3; i++ {
-				got = append(got, string(r.Recv(0, 1)))
-			}
-		}
+	got := make([][]byte, 3)
+	run(t, w, map[int][]op{
+		0: {recv(1, 1, &got[0]), recv(1, 1, &got[1]), recv(1, 1, &got[2])},
+		1: {send(0, 1, []byte("a")), send(0, 1, []byte("b")), send(0, 1, []byte("c"))},
 	})
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("order %v", got)
+	if string(got[0]) != "a" || string(got[1]) != "b" || string(got[2]) != "c" {
+		t.Fatalf("order %q", got)
 	}
 }
 
 func TestAnyTagMatchesFirst(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 77, []byte("x"))
-		case 1:
-			got = r.Recv(0, AnyTag)
-		}
+	run(t, w, map[int][]op{
+		0: {recv(1, AnyTag, &got)},
+		1: {send(0, 77, []byte("x"))},
 	})
 	if string(got) != "x" {
 		t.Fatalf("got %q", got)
@@ -164,9 +192,9 @@ func TestComputeScalesWithCPUPower(t *testing.T) {
 	spec := testSpec(2)
 	spec.Nodes[1].CPUPower = 2
 	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		r.Compute(10, 0.1) // 1s of work at power 1
-	})
+	times := run(t, w, all(2, func(int) []op {
+		return []op{do(func(r *Rank) { r.Compute(10, 0.1) })} // 1s of work at power 1
+	}))
 	if !close(float64(times[0]), 1.0) {
 		t.Fatalf("power-1 node took %v", times[0])
 	}
@@ -178,42 +206,74 @@ func TestComputeScalesWithCPUPower(t *testing.T) {
 func TestSendToSelfPanics(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+		if p := recover(); p != "mpi: rank 0 panicked: mpi: Send to self" {
+			t.Fatalf("recovered %v", p)
 		}
 	}()
-	w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(0, 1, nil)
-		}
-	})
+	run(t, w, map[int][]op{0: {send(0, 1, nil)}})
+}
+
+// TestSendAndRecvOutsideRunPanic pins that messaging needs the driver:
+// outside World.Run there is no scheduler to deliver or park.
+func TestSendAndRecvOutsideRunPanic(t *testing.T) {
+	w := NewWorld(testSpec(2), 1, 0)
+	for name, f := range map[string]func(){
+		"Send":    func() { w.Rank(0).Send(1, 1, nil) },
+		"TryRecv": func() { w.Rank(0).TryRecv(&RecvOp{Src: 1, Tag: 1}) },
+	} {
+		func() {
+			defer func() {
+				if p, _ := recover().(string); !strings.Contains(p, "outside World.Run") {
+					t.Errorf("%s outside Run: recovered %q", name, p)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestSendCopiesPayload(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			buf := []byte{1, 2, 3}
-			r.Send(1, 1, buf)
-			buf[0] = 99 // must not affect the in-flight message
-		case 1:
-			r.Compute(1, 1)
-			got = r.Recv(0, 1)
-		}
+	buf := []byte{1, 2, 3}
+	run(t, w, map[int][]op{
+		0: {recv(1, 1, &got)},
+		1: {
+			send(0, 1, buf),
+			do(func(*Rank) { buf[0] = 99 }), // must not affect the in-flight message
+		},
 	})
 	if got[0] != 1 {
 		t.Fatal("message aliased the sender's buffer")
 	}
 }
 
+// TestSendBufferReuse pins Send's ownership contract: Send copies the
+// payload, so a sender that overwrites its buffer for the next message
+// does not change what the receiver gets.
+func TestSendBufferReuse(t *testing.T) {
+	w := NewWorld(testSpec(2), 1, 0)
+	got := make([][]byte, 2)
+	run(t, w, map[int][]op{
+		0: {do(func(r *Rank) {
+			buf := []byte{1, 2, 3}
+			r.Send(1, 1, buf)
+			copy(buf, []byte{4, 5, 6})
+			r.Send(1, 1, buf)
+			clear(buf)
+		})},
+		1: {do(func(r *Rank) { r.Compute(1, 1) }), recv(0, 1, &got[0]), recv(0, 1, &got[1])},
+	})
+	if string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
+		t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]", got)
+	}
+}
+
 func TestResetClocks(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
-	w.Run(func(r *Rank) { r.Compute(1, 1) })
+	run(t, w, all(2, func(int) []op { return []op{do(func(r *Rank) { r.Compute(1, 1) })} }))
 	w.ResetClocks()
-	times := w.Run(func(r *Rank) {})
-	for _, tm := range times {
+	for _, tm := range run(t, w, nil) {
 		if tm != 0 {
 			t.Fatalf("clock not reset: %v", tm)
 		}
@@ -223,19 +283,37 @@ func TestResetClocks(t *testing.T) {
 func TestWorldRunPropagatesPanic(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("rank panic not propagated")
+		if p := recover(); p != "mpi: rank 1 panicked: boom" {
+			t.Fatalf("recovered %v, want the rank-1 panic report", p)
 		}
 	}()
-	w.Run(func(r *Rank) {
+	run(t, w, map[int][]op{1: {do(func(*Rank) { panic("boom") })}})
+}
+
+// TestWorldRunReportsDeadlock has both ranks receive first: Run must
+// return an error naming each parked rank, not hang.
+func TestWorldRunReportsDeadlock(t *testing.T) {
+	w := NewWorld(testSpec(2), 1, 0)
+	a, b := RecvOp{Src: 1, Tag: 3}, RecvOp{Src: 0, Tag: 4}
+	_, err := w.Run(func(r *Rank) bool {
+		op := &a
 		if r.Rank() == 1 {
-			panic("boom")
+			op = &b
 		}
+		_, ok := r.TryRecv(op)
+		return ok
 	})
+	if err == nil {
+		t.Fatal("Run returned no error for a deadlocked world")
+	}
+	for _, want := range []string{"deadlock", "2 of 2 ranks unfinished", "rank 0 ← src 1 tag 3", "rank 1 ← src 0 tag 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock error %q does not mention %q", err, want)
+		}
+	}
 }
 
 type countingProfiler struct {
-	mu    sync.Mutex
 	pre   map[CallKind]int
 	post  map[CallKind]int
 	waits vclock.Duration
@@ -245,37 +323,42 @@ func newCountingProfiler() *countingProfiler {
 	return &countingProfiler{pre: map[CallKind]int{}, post: map[CallKind]int{}}
 }
 
-func (p *countingProfiler) Pre(ci *CallInfo) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pre[ci.Kind]++
-}
+func (p *countingProfiler) Pre(ci *CallInfo) { p.pre[ci.Kind]++ }
 
 func (p *countingProfiler) Post(ci *CallInfo) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.post[ci.Kind]++
 	p.waits += ci.Wait
 }
 
+// TestProfilerSeesCalls profiles rank 0, whose receive parks before
+// rank 1 sends: the hooks still fire once per logical receive.
 func TestProfilerSeesCalls(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	prof := newCountingProfiler()
-	w.Run(func(r *Rank) {
+	w.Rank(0).SetProfiler(prof)
+	ro := RecvOp{Src: 1, Tag: 1}
+	computed := false
+	st, err := w.Run(func(r *Rank) bool {
 		if r.Rank() == 1 {
-			r.SetProfiler(prof)
-		}
-		switch r.Rank() {
-		case 0:
 			r.Compute(0.001, 1)
-			r.Send(1, 1, make([]byte, 10))
-		case 1:
-			r.Recv(0, 1)
-			r.Compute(0.001, 1)
+			r.Send(0, 1, make([]byte, 10))
+			return true
 		}
+		if !computed {
+			r.Compute(0.001, 1)
+			computed = true
+		}
+		_, ok := r.TryRecv(&ro)
+		return ok
 	})
-	if prof.post[CallRecv] != 1 || prof.post[CallCompute] != 1 {
-		t.Fatalf("profiler counts %v", prof.post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Parks != 1 {
+		t.Fatalf("receiver parked %d times, want 1", st.Parks)
+	}
+	if prof.pre[CallRecv] != 1 || prof.post[CallRecv] != 1 || prof.post[CallCompute] != 1 {
+		t.Fatalf("profiler counts pre %v post %v", prof.pre, prof.post)
 	}
 	if prof.waits <= 0 {
 		t.Fatal("blocked recv must report positive wait")
@@ -283,21 +366,23 @@ func TestProfilerSeesCalls(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() []vclock.Time {
+	runOnce := func() []vclock.Time {
 		w := NewWorld(cluster.HY1(8), 42, 0.02)
-		return w.Run(func(r *Rank) {
-			n := r.Size()
-			r.Compute(float64(r.Rank()+1), 0.01)
-			if r.Rank() < n-1 {
-				r.Send(r.Rank()+1, 1, make([]byte, 64))
+		return run(t, w, all(8, func(p int) []op {
+			prog := []op{do(func(r *Rank) {
+				r.Compute(float64(p+1), 0.01)
+				if p < 7 {
+					r.Send(p+1, 1, make([]byte, 64))
+				}
+			})}
+			if p > 0 {
+				prog = append(prog, recv(p-1, 1, nil))
 			}
-			if r.Rank() > 0 {
-				r.Recv(r.Rank()-1, 1)
-			}
-			r.Allreduce(9, OpSum, []float64{1})
-		})
+			ar := &AllreduceSM{Tag: 9, Op: OpSum, Vals: []float64{1}}
+			return append(prog, ar.Step)
+		}))
 	}
-	a, b := run(), run()
+	a, b := runOnce(), runOnce()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rank %d: %v vs %v — emulation not deterministic", i, a[i], b[i])
@@ -323,23 +408,6 @@ func TestCallKindString(t *testing.T) {
 	}
 }
 
-func TestSendrecv(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	var got0, got1 []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			got0 = r.Sendrecv(1, 1, []byte("from0"), 1, 2)
-		case 1:
-			got1 = r.Sendrecv(0, 2, []byte("from1"), 0, 1)
-		}
-	})
-	if string(got0) != "from1" || string(got1) != "from0" {
-		t.Fatalf("sendrecv got %q, %q", got0, got1)
-	}
-}
-
 func TestNetworkLinkOverride(t *testing.T) {
 	// Sanity check that netsim integration honours per-link params.
 	p := netsim.DefaultParams()
@@ -353,16 +421,15 @@ func TestNetworkLinkOverride(t *testing.T) {
 }
 
 func TestInterferenceInflatesCompute(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		if r.Rank() == 1 {
-			r.SetInterference(0.5, 0.25)
-		}
-		for i := 0; i < 100; i++ {
-			r.Compute(1, 0.01) // 1s total at factor 1
-		}
-	})
+	w := NewWorld(testSpec(2), 1, 0)
+	w.Rank(1).SetInterference(0.5, 0.25)
+	times := run(t, w, all(2, func(int) []op {
+		return []op{do(func(r *Rank) {
+			for i := 0; i < 100; i++ {
+				r.Compute(1, 0.01) // 1s total at factor 1
+			}
+		})}
+	}))
 	if !close(float64(times[0]), 1.0) {
 		t.Fatalf("idle rank took %v, want 1s", times[0])
 	}
@@ -373,58 +440,42 @@ func TestInterferenceInflatesCompute(t *testing.T) {
 }
 
 func TestInterferenceDeterministic(t *testing.T) {
-	run := func() vclock.Time {
-		w := NewWorld(testSpec(1), 1, 0)
-		return w.Run(func(r *Rank) {
-			r.SetInterference(0.3, 0.1)
-			for i := 0; i < 50; i++ {
-				r.Compute(1, 0.005)
-			}
-		})[0]
+	runOnce := func() vclock.Time {
+		r := NewWorld(testSpec(1), 1, 0).Rank(0)
+		r.SetInterference(0.3, 0.1)
+		for i := 0; i < 50; i++ {
+			r.Compute(1, 0.005)
+		}
+		return r.Now()
 	}
-	if run() != run() {
+	if runOnce() != runOnce() {
 		t.Fatal("interference not deterministic")
 	}
 }
 
 func TestFileOpsThroughRank(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	var got []byte
-	var waited bool
-	w.Run(func(r *Rank) {
-		if r.Rank() != 0 {
-			return
-		}
-		r.Disk().Create("v", 256)
-		r.FileWrite("v", 8, []byte{1, 2, 3})
-		got = r.FileRead("v", 8, 3)
-		tag := r.FilePrefetchIssue("v", 0, 64)
-		data := r.FilePrefetchWait("v", tag)
-		waited = len(data) == 64
-		if r.Now() <= 0 {
-			t.Error("file ops charged no time")
-		}
-		_ = r.CPUPower()
-		_ = r.Clock()
-		_ = r.Disk()
-	})
-	if string(got) != string([]byte{1, 2, 3}) || !waited {
-		t.Fatalf("file ops data wrong: %v %v", got, waited)
+	r := NewWorld(testSpec(2), 1, 0).Rank(0)
+	r.Disk().Create("v", 256)
+	r.FileWrite("v", 8, []byte{1, 2, 3})
+	got := r.FileRead("v", 8, 3)
+	tag := r.FilePrefetchIssue("v", 0, 64)
+	data := r.FilePrefetchWait("v", tag)
+	if r.Now() <= 0 {
+		t.Error("file ops charged no time")
+	}
+	if string(got) != string([]byte{1, 2, 3}) || len(data) != 64 {
+		t.Fatalf("file ops data wrong: %v %d", got, len(data))
+	}
+	if r.CPUPower() != 1 || r.Clock().Now() != r.Now() {
+		t.Fatal("rank accessors wrong")
 	}
 }
 
-func TestWorldSpecAndWaitUntil(t *testing.T) {
-	spec := testSpec(3)
-	w := NewWorld(spec, 1, 0)
-	if w.Spec().N() != 3 {
+func TestWorldSpec(t *testing.T) {
+	w := NewWorld(testSpec(3), 1, 0)
+	if w.Spec().N() != 3 || w.Size() != 3 || w.Rank(2).Size() != 3 {
 		t.Fatal("Spec wrong")
 	}
-	w.Run(func(r *Rank) {
-		if d := r.WaitUntil(0.5); float64(d) != 0.5 {
-			t.Errorf("WaitUntil returned %v", d)
-		}
-	})
 }
 
 func TestCallInfoDuration(t *testing.T) {
@@ -432,51 +483,4 @@ func TestCallInfoDuration(t *testing.T) {
 	if ci.Duration() != 2.5 {
 		t.Fatalf("Duration %v", ci.Duration())
 	}
-}
-
-// TestSendBufferReuse pins Send's ownership contract under both engines:
-// Send copies the payload, so a sender that overwrites its buffer for
-// the next message does not change what the receiver gets.
-func TestSendBufferReuse(t *testing.T) {
-	send := func(r *Rank) {
-		buf := []byte{1, 2, 3}
-		r.Send(1, 1, buf)
-		copy(buf, []byte{4, 5, 6})
-		r.Send(1, 1, buf)
-		clear(buf)
-	}
-	check := func(t *testing.T, got [][]byte) {
-		t.Helper()
-		if len(got) != 2 || string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
-			t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]", got)
-		}
-	}
-	t.Run("goroutine", func(t *testing.T) {
-		w := NewWorld(testSpec(2), 1, 0)
-		var got [][]byte
-		w.Run(func(r *Rank) {
-			if r.Rank() == 0 {
-				send(r)
-				return
-			}
-			r.Compute(1, 1)
-			got = append(got, r.Recv(0, 1), r.Recv(0, 1))
-		})
-		check(t, got)
-	})
-	t.Run("event", func(t *testing.T) {
-		w := NewWorld(testSpec(2), 1, 0)
-		w.BindScheduler(sched.New(2))
-		send(w.Rank(0))
-		var got [][]byte
-		for range 2 {
-			op := RecvOp{Src: 0, Tag: 1}
-			data, ok := w.Rank(1).TryRecv(&op)
-			if !ok {
-				t.Fatal("TryRecv missed a sent message")
-			}
-			got = append(got, data)
-		}
-		check(t, got)
-	})
 }

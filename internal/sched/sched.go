@@ -17,8 +17,8 @@
 // push counter that only breaks ties between equal (time, rank) keys,
 // which cannot occur while each rank has at most one pending event, so
 // dispatch order is independent of insertion order. Message matching is
-// per-(src,dst) FIFO with tag filtering, byte-for-byte the semantics of
-// the goroutine core's mailbox.take. The scheduler never consults wall
+// per-(src,dst) FIFO with tag filtering, MPI's matching rule for
+// receives that name their source. The scheduler never consults wall
 // time or ambient randomness.
 //
 // Memory layout: undelivered messages sit in one inbox per destination
@@ -136,8 +136,8 @@ type Scheduler struct {
 	seq  uint64
 	// inbox[dst] holds dst's undelivered messages in send order. A
 	// per-(src,dst) FIFO is the subsequence with one Src, so matching
-	// the first message with the wanted source and tag is the mailbox
-	// rule. Inboxes stay short (a rank's outstanding receives), so the
+	// the first message with the wanted source and tag is per-link FIFO
+	// matching. Inboxes stay short (a rank's outstanding receives), so the
 	// linear scan is cheaper than a per-link map.
 	inbox  [][]Msg
 	arena  arena
@@ -240,8 +240,8 @@ func (s *Scheduler) Send(src, dst int, m Msg) {
 }
 
 // TryRecv removes and returns the first undelivered message matching
-// tag on the src→dst link (FIFO among matches, exactly like the
-// goroutine core's mailbox.take). It does not park; a driver that gets
+// tag on the src→dst link, FIFO among matches (or the first message of
+// any tag when tag == AnyTag). It does not park; a driver that gets
 // ok == false parks the receiver explicitly.
 func (s *Scheduler) TryRecv(src, dst, tag int) (Msg, bool) {
 	q := s.inbox[dst]

@@ -2,18 +2,19 @@ package validate
 
 // Emulator digests: the emulator's complete observable output, frozen
 // as SHA-256 digests in testdata/emulator_digests.json. The file was
-// recorded from the original goroutine-per-rank core, which PR 7 had
-// proved bit-identical to the event engine; every check below holds the
-// event engine to that recorded verdict. Identity is exact — clocks are
-// compared through math.Float64bits — because a run is a deterministic
-// function of its inputs, so any divergence is a behaviour change, not
-// rounding.
+// recorded from the emulator's original goroutine-per-rank core, which
+// had been proved bit-identical to the event-driven core that replaced
+// it; every check below holds today's emulator to that recorded verdict.
+// Identity is exact — clocks are compared through math.Float64bits —
+// because a run is a deterministic function of its inputs, so any
+// divergence is a behaviour change, not rounding. The digests are exact
+// on linux/amd64; another platform's FMA contraction or libm may move a
+// last bit.
 //
-// Each run case digests what the old two-engine comparison compared:
-// the Float64bits of NodeTimes, Time and PerIteration; the canonical
-// span list and the Chrome trace bytes (traced runs); and the MPI-Jack
-// recorders, serialised with sorted keys and Float64bits (instrument
-// runs). Collect cases digest paramfile.Encode(instrument.Collect(...)),
+// Each run case digests the Float64bits of NodeTimes, Time and
+// PerIteration; the canonical span list and the Chrome trace bytes
+// (traced runs); and the MPI-Jack recorders, serialised with sorted keys
+// and Float64bits (instrument runs). Collect cases digest paramfile.Encode(instrument.Collect(...)),
 // which pins the micro-benchmarks' NetParams/DiskCal bit for bit.
 //
 // Regenerate only for an intentional behaviour change, and say so in
@@ -67,7 +68,7 @@ type runDigest struct {
 // that checks it, sub its subtest there; key is group/sub/name.
 type digestCase struct {
 	group, sub, name string
-	run              func(t *testing.T, eng exec.Engine) runDigest
+	run              func(t *testing.T) runDigest
 }
 
 func (c digestCase) key() string { return c.group + "/" + c.sub + "/" + c.name }
@@ -84,8 +85,8 @@ func digestCases() []digestCase {
 			d := c.Dist
 			cases = append(cases, digestCase{
 				group: "corpus", sub: fmt.Sprintf("seed=%d", seed), name: fmt.Sprintf("%02d:%s", i, c.Name),
-				run: func(t *testing.T, eng exec.Engine) runDigest {
-					return emulate(t, sc.Spec, sc.App, d, sc.Seed^0xACDC, eng, exec.ModeRun)
+				run: func(t *testing.T) runDigest {
+					return emulate(t, sc.Spec, sc.App, d, sc.Seed^0xACDC, exec.ModeRun)
 				},
 			})
 		}
@@ -94,10 +95,10 @@ func digestCases() []digestCase {
 		for _, spec := range cluster.NamedAll() {
 			cases = append(cases, digestCase{
 				group: "apps", sub: name, name: spec.Name,
-				run: func(t *testing.T, eng exec.Engine) runDigest {
+				run: func(t *testing.T) runDigest {
 					app := buildApp(name, newRng(0xA99^uint64(len(name))))
 					d := dist.Block(app.Prog.GlobalElems(), spec.N())
-					return emulate(t, spec, app, d, 0xC0FFEE, eng, exec.ModeRun)
+					return emulate(t, spec, app, d, 0xC0FFEE, exec.ModeRun)
 				},
 			})
 		}
@@ -105,11 +106,11 @@ func digestCases() []digestCase {
 	for _, name := range AppNames() {
 		cases = append(cases, digestCase{
 			group: "instrument", sub: name, name: "HY1x6",
-			run: func(t *testing.T, eng exec.Engine) runDigest {
+			run: func(t *testing.T) runDigest {
 				app := buildApp(name, newRng(0xD1f^uint64(len(name))))
 				spec := cluster.HY1(6)
 				d := dist.Block(app.Prog.GlobalElems(), spec.N())
-				return emulate(t, spec, app, d, 0x5EED, eng, exec.ModeInstrument)
+				return emulate(t, spec, app, d, 0x5EED, exec.ModeInstrument)
 			},
 		})
 	}
@@ -117,8 +118,8 @@ func digestCases() []digestCase {
 		for _, spec := range cluster.NamedAll() {
 			cases = append(cases, digestCase{
 				group: "collect", sub: name, name: spec.Name,
-				run: func(t *testing.T, eng exec.Engine) runDigest {
-					return collect(t, name, spec, eng)
+				run: func(t *testing.T) runDigest {
+					return collect(t, name, spec)
 				},
 			})
 		}
@@ -129,10 +130,10 @@ func digestCases() []digestCase {
 // emulate executes (spec, app, d) on a fresh world and digests its
 // output. Plain runs collect a trace; instrument runs collect recorders
 // instead (the profiler slot belongs to MPI-Jack there).
-func emulate(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution, seed uint64, eng exec.Engine, mode exec.Mode) runDigest {
+func emulate(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution, seed uint64, mode exec.Mode) runDigest {
 	t.Helper()
 	w := mpi.NewWorld(spec, seed, Noise)
-	opts := exec.Options{Mode: mode, Engine: eng}
+	opts := exec.Options{Mode: mode}
 	var tr *trace.Trace
 	if mode == exec.ModeRun {
 		tr = trace.New()
@@ -140,7 +141,7 @@ func emulate(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution
 	}
 	res, err := exec.Run(w, app, d, opts)
 	if err != nil {
-		t.Fatalf("engine %v: %v", eng, err)
+		t.Fatal(err)
 	}
 	h := sha256.New()
 	for _, x := range res.NodeTimes {
@@ -158,7 +159,7 @@ func emulate(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution
 		out.Spans = sum(h)
 		var buf bytes.Buffer
 		if err := tr.WriteChrome(&buf); err != nil {
-			t.Fatalf("engine %v: chrome export: %v", eng, err)
+			t.Fatalf("chrome export: %v", err)
 		}
 		c := sha256.Sum256(buf.Bytes())
 		out.Chrome = hex.EncodeToString(c[:])
@@ -171,16 +172,13 @@ func emulate(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution
 
 // collect digests the encoded parameter file instrument.Collect derives
 // for app on spec under Blk at test scale.
-func collect(t *testing.T, name string, spec cluster.Spec, eng exec.Engine) runDigest {
+func collect(t *testing.T, name string, spec cluster.Spec) runDigest {
 	t.Helper()
 	b, err := experiments.BuilderByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := b.Build(experiments.ScaleTest)
-	prev := exec.DefaultEngine()
-	exec.SetDefaultEngine(eng)
-	defer exec.SetDefaultEngine(prev)
 	p, err := instrument.Collect(spec, app, dist.Block(app.Prog.GlobalElems(), spec.N()), 0x8E7A, Noise)
 	if err != nil {
 		t.Fatal(err)
@@ -291,18 +289,14 @@ func checkGroup(t *testing.T, group string) {
 	for _, sub := range order {
 		cases := subs[sub]
 		t.Run(sub, func(t *testing.T) {
-			if group != "collect" {
-				t.Parallel()
-			}
+			t.Parallel()
 			for _, c := range cases {
 				w, ok := want[c.key()]
 				if !ok {
 					t.Fatalf("%s: no recorded digest", c.key())
 				}
-				for _, eng := range []exec.Engine{exec.EngineGoroutine, exec.EngineEvent} {
-					if got := c.run(t, eng); got != w {
-						t.Fatalf("%s under the %v engine:\n  got      %+v\n  recorded %+v", c.key(), eng, got, w)
-					}
+				if got := c.run(t); got != w {
+					t.Fatalf("%s:\n  got      %+v\n  recorded %+v", c.key(), got, w)
 				}
 			}
 		})
@@ -311,14 +305,13 @@ func checkGroup(t *testing.T, group string) {
 
 // TestEmulatorDigests pins the digest file itself: its entries are
 // exactly the matrix digestCases enumerates, and the Collect digests
-// reproduce. With -update it regenerates the whole file from the
-// goroutine engine instead.
+// reproduce. With -update it regenerates the whole file instead.
 func TestEmulatorDigests(t *testing.T) {
 	cases := digestCases()
 	if *update {
 		out := make(map[string]runDigest, len(cases))
 		for _, c := range cases {
-			out[c.key()] = c.run(t, exec.EngineGoroutine)
+			out[c.key()] = c.run(t)
 		}
 		b, err := json.MarshalIndent(out, "", " ")
 		if err != nil {
@@ -349,8 +342,7 @@ func TestEmulatorDigests(t *testing.T) {
 }
 
 // TestEngineEquivalenceCorpus holds every distribution case of every
-// committed corpus seed to the goroutine core's recorded clocks, spans
-// and Chrome bytes. It is the seed set the accuracy corpus pins, so
+// committed corpus seed to the recorded clocks, spans and Chrome bytes. It is the seed set the accuracy corpus pins, so
 // every scenario shape the repo knows about (all apps, all archetype
 // kinds, shared disks, adversarial distributions) is covered.
 func TestEngineEquivalenceCorpus(t *testing.T) { checkGroup(t, "corpus") }
