@@ -250,22 +250,55 @@ func TestSendCopiesPayload(t *testing.T) {
 
 // TestSendBufferReuse pins Send's ownership contract: Send copies the
 // payload, so a sender that overwrites its buffer for the next message
-// does not change what the receiver gets.
+// does not change what the receiver gets. The subtests keep the names of
+// the two engines the emulator once had, so their IDs stay stable; they
+// now differ in when the receiver polls. Rank 0 is dispatched first at
+// the tied start clock, so in "goroutine" the receiver (rank 0) parks
+// before the sender runs and is woken by the first message, and in
+// "event" both messages are already queued when the receiver polls.
 func TestSendBufferReuse(t *testing.T) {
-	w := NewWorld(testSpec(2), 1, 0)
-	got := make([][]byte, 2)
-	run(t, w, map[int][]op{
-		0: {do(func(r *Rank) {
-			buf := []byte{1, 2, 3}
-			r.Send(1, 1, buf)
-			copy(buf, []byte{4, 5, 6})
-			r.Send(1, 1, buf)
-			clear(buf)
-		})},
-		1: {do(func(r *Rank) { r.Compute(1, 1) }), recv(0, 1, &got[0]), recv(0, 1, &got[1])},
-	})
-	if string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
-		t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]", got)
+	cases := []struct {
+		name     string
+		receiver int
+		parks    uint64
+	}{
+		{"goroutine", 0, 1},
+		{"event", 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(testSpec(2), 1, 0)
+			sender := 1 - tc.receiver
+			got := make([][]byte, 0, 2)
+			ro := RecvOp{Src: sender, Tag: 1}
+			st, err := w.Run(func(r *Rank) bool {
+				if r.Rank() == sender {
+					buf := []byte{1, 2, 3}
+					r.Send(tc.receiver, 1, buf)
+					copy(buf, []byte{4, 5, 6})
+					r.Send(tc.receiver, 1, buf)
+					clear(buf)
+					return true
+				}
+				for len(got) < 2 {
+					data, ok := r.TryRecv(&ro)
+					if !ok {
+						return false
+					}
+					got = append(got, data)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Parks != tc.parks {
+				t.Fatalf("receiver parked %d times, want %d", st.Parks, tc.parks)
+			}
+			if len(got) != 2 || string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
+				t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]", got)
+			}
+		})
 	}
 }
 
