@@ -15,43 +15,47 @@ package apps
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"unsafe"
 
 	"mheta/internal/exec"
 )
 
-// f64 reads the float64 at element index i of a byte slice.
-func f64(b []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// f64s views b as float64s in the host's native representation, without
+// copying: every Init lays its extent out through it and every Process
+// kernel indexes its chunk through it. It panics when len(b) is not a
+// whole number of float64s or b does not start on an 8-byte boundary.
+func f64s(b []byte) []float64 {
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if len(b)%8 != 0 || uintptr(p)%8 != 0 {
+		panic(fmt.Sprintf("apps: float64 view of %d bytes at %p: ragged or misaligned", len(b), p))
+	}
+	return unsafe.Slice((*float64)(p), len(b)/8)
 }
 
-// putF64 writes the float64 at element index i of a byte slice.
-func putF64(b []byte, i int, v float64) {
-	binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-}
-
-// f64sToBytesInto encodes xs into dst, reusing dst's storage when it is
-// large enough.
+// f64sToBytesInto encodes xs into dst as a little-endian message
+// payload, reusing dst's storage when it is large enough.
 func f64sToBytesInto(dst []byte, xs []float64) []byte {
 	if cap(dst) < 8*len(xs) {
 		dst = make([]byte, 8*len(xs))
 	}
 	dst = dst[:8*len(xs)]
 	for i, x := range xs {
-		putF64(dst, i, x)
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 	}
 	return dst
 }
 
-// bytesToF64sInto decodes b into dst, reusing dst's storage when it is
-// large enough.
+// bytesToF64sInto decodes a little-endian message payload b into dst,
+// reusing dst's storage when it is large enough.
 func bytesToF64sInto(dst []float64, b []byte) []float64 {
 	if cap(dst) < len(b)/8 {
 		dst = make([]float64, len(b)/8)
 	}
 	dst = dst[:len(b)/8]
 	for i := range dst {
-		dst[i] = f64(b, i)
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return dst
 }

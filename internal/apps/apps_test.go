@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -22,8 +23,10 @@ func uniformSpec(n int, mem int64) cluster.Spec {
 	return base
 }
 
+// f64At reads element i of an extent, which the apps lay out in the
+// host's native representation.
 func f64At(b []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	return math.Float64frombits(binary.NativeEndian.Uint64(b[8*i:]))
 }
 
 // runApp executes app on a fresh noise-free world and returns it for
@@ -450,6 +453,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	rc.Rows, rc.Cols, rc.Tiles = 128, 64, 4
 	mc := apps.DefaultMGConfig()
 	mc.Rows, mc.Cols = 128, 16
+	cc := apps.DefaultCGConfig()
+	cc.N, cc.MaxBand, cc.MinBand = 128, 6, 2
+	lc := apps.DefaultLanczosConfig()
+	lc.N = 128
 	for _, k := range []struct {
 		name string
 		call func()
@@ -457,10 +464,89 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"jacobi", kernel(apps.NewJacobi(jc), "B", []int{0, 1}, 32, 32, 1)},
 		{"rna", kernel(apps.NewRNA(rc), "T", []int{0, 1}, 32, 32, rc.Tiles)},
 		{"multigrid", kernel(apps.NewMultigrid(mc), "U", []int{0, 1, 2, 3, 4}, 32, 32, 1)},
+		{"cg", kernel(apps.NewCG(cc), "A", []int{0, 1, 2}, 32, 32, 1)},
+		{"lanczos", kernel(apps.NewLanczos(lc), "A", []int{0, 1, 2}, 32, 32, 1)},
 	} {
 		k.call() // warm
 		if n := testing.AllocsPerRun(20, k.call); n != 0 {
 			t.Errorf("%s: Process allocates %v times per call, want 0", k.name, n)
 		}
+	}
+}
+
+// TestReadOnlyExtentsUnchanged runs CG and Lanczos, whose matrix A is
+// ReadOnly, in core, out of core, and out of core with the matvec stage
+// prefetching. Disk reads hand out views of the extent, so a kernel that
+// wrote to its chunk would change A: afterwards every rank's A must be
+// byte-identical to a freshly laid out one.
+func TestReadOnlyExtentsUnchanged(t *testing.T) {
+	cc := apps.DefaultCGConfig()
+	cc.N, cc.Iterations = 256, 3
+	lc := apps.DefaultLanczosConfig()
+	lc.N, lc.Iterations = 128, 3
+	for _, a := range []struct {
+		name string
+		app  func() *exec.App
+		rows int
+	}{
+		{"cg", func() *exec.App { return apps.NewCG(cc) }, cc.N},
+		{"lanczos", func() *exec.App { return apps.NewLanczos(lc) }, lc.N},
+	} {
+		for _, m := range []struct {
+			name     string
+			mem      int64
+			prefetch bool
+		}{
+			{"in-core", 8 << 20, false},
+			{"out-of-core", 8 << 10, false},
+			{"prefetch", 8 << 10, true},
+		} {
+			app := a.app()
+			app.Prog.Sections[0].Stages[0].Prefetch = m.prefetch
+			spec := uniformSpec(4, m.mem)
+			d := dist.Block(a.rows, 4)
+			w := runApp(t, app, spec, d)
+			fresh := mpi.NewWorld(spec, 1, 0)
+			start := 0
+			for p, count := range d {
+				disk := w.Rank(p).Disk()
+				if outOfCore := disk.Reads > 1; outOfCore != (m.mem < 1<<20) || (disk.Prefetches > 0) != m.prefetch {
+					t.Fatalf("%s/%s rank %d: %d reads, %d prefetches: not the intended path", a.name, m.name, p, disk.Reads, disk.Prefetches)
+				}
+				nc := &exec.NodeCtx{R: fresh.Rank(p), Prog: app.Prog, Start: start, Count: count}
+				app.NewState(nc).Init(nc)
+				start += count
+				if !bytes.Equal(disk.Extent("A"), fresh.Rank(p).Disk().Extent("A")) {
+					t.Errorf("%s/%s rank %d: the run changed the ReadOnly matrix", a.name, m.name, p)
+				}
+			}
+		}
+	}
+}
+
+// TestF64sRejectsRaggedAndMisalignedBuffers pins f64s's two panics and
+// checks that a valid view aliases its buffer.
+func TestF64sRejectsRaggedAndMisalignedBuffers(t *testing.T) {
+	raw := make([]byte, 32)
+	v := apps.F64sForTest(raw)
+	v[1] = 1.5
+	if len(v) != 4 || f64At(raw, 1) != 1.5 {
+		t.Fatalf("f64s view has %d elements and reads back %v, want 4 and 1.5", len(v), f64At(raw, 1))
+	}
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"ragged", raw[:12]},
+		{"misaligned", raw[1:17]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("f64s accepted a %s buffer", c.name)
+				}
+			}()
+			apps.F64sForTest(c.b)
+		}()
 	}
 }

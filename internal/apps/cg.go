@@ -77,19 +77,13 @@ func sinApprox(x float64) float64 {
 	return sign * 16 * x * (pi - x) / (5*pi*pi - 4*x*(pi-x))
 }
 
-// cgRow materialises row i: slot pairs (col, val) for the true nonzeros,
-// padded with (-1, 0). Diagonal dominance makes A positive definite.
-func cgRow(cfg CGConfig, i int) []byte {
-	slots := cfg.cgSlots()
-	row := make([]byte, 16*slots)
+// cgRowInto writes row i into row, which holds 2·cgSlots values: slot
+// pairs (col, val) for the true nonzeros, padded with (-1, 0). Diagonal
+// dominance makes A positive definite.
+func cgRowInto(row []float64, cfg CGConfig, i int) {
 	wi := cfg.band(i)
 	k := 0
 	var offSum float64
-	put := func(col int, val float64) {
-		putF64(row, 2*k, float64(col))
-		putF64(row, 2*k+1, val)
-		k++
-	}
 	for j := i - wi; j <= i+wi; j++ {
 		if j < 0 || j >= cfg.N || j == i {
 			continue
@@ -101,16 +95,28 @@ func cgRow(cfg CGConfig, i int) []byte {
 		if d > cfg.band(j) {
 			continue // symmetric band condition
 		}
-		v := -1.0 / float64(1+d)
-		put(j, v)
+		row[k], row[k+1] = float64(j), -1.0/float64(1+d)
+		k += 2
 		offSum += 1.0 / float64(1+d)
 	}
-	put(i, 2*offSum+1) // diagonal: dominant → SPD
-	for ; k < slots; k++ {
-		putF64(row, 2*k, -1)
-		putF64(row, 2*k+1, 0)
+	row[k], row[k+1] = float64(i), 2*offSum+1 // diagonal: dominant → SPD
+	for k += 2; k < len(row); k += 2 {
+		row[k], row[k+1] = -1, 0
 	}
-	return row
+}
+
+// cgRowDot returns the dot product of a padded row with p, summed in
+// slot order, and the row's nonzero count.
+func cgRowDot(row, p []float64) (sum float64, nnz int) {
+	for k := 0; k+1 < len(row); k += 2 {
+		col := row[k]
+		if col < 0 {
+			continue
+		}
+		sum += row[k+1] * p[int(col)]
+		nnz++
+	}
+	return sum, nnz
 }
 
 // cgNNZ counts row i's true nonzeros (the work units of the spmv kernel).
@@ -211,8 +217,9 @@ func (s *cgState) Init(nc *exec.NodeCtx) {
 	cfg := s.cfg
 	if nc.Count > 0 {
 		block := make([]byte, int64(nc.Count)*cfg.cgElemBytes())
+		a, w := f64s(block), 2*cfg.cgSlots()
 		for i := 0; i < nc.Count; i++ {
-			copy(block[int64(i)*cfg.cgElemBytes():], cgRow(cfg, nc.Start+i))
+			cgRowInto(a[i*w:][:w], cfg, nc.Start+i)
 		}
 		nc.R.Disk().Store("A", block)
 	}
@@ -243,20 +250,11 @@ func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 		if gRow == nc.Start {
 			s.pq = 0
 		}
+		a := f64s(buf)
 		for i := 0; i < nRows; i++ {
 			gi := gRow + i
 			li := gi - nc.Start
-			sum := 0.0
-			nnz := 0
-			base := i * slots * 2
-			for k := 0; k < slots; k++ {
-				col := f64(buf, base+2*k)
-				if col < 0 {
-					continue
-				}
-				sum += f64(buf, base+2*k+1) * s.p[int(col)]
-				nnz++
-			}
+			sum, nnz := cgRowDot(a[i*2*slots:][:2*slots], s.p)
 			s.q[li] = sum
 			s.pq += s.p[gi] * sum
 			work += float64(nnz)
@@ -335,11 +333,11 @@ func (s *cgState) OnReduce(nc *exec.NodeCtx, sec int, vals []float64) {
 func CGReference(cfg CGConfig, iters int) []float64 {
 	n := cfg.N
 	// Materialise the matrix rows once.
-	rows := make([][]byte, n)
+	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = cgRow(cfg, i)
+		rows[i] = make([]float64, 2*cfg.cgSlots())
+		cgRowInto(rows[i], cfg, i)
 	}
-	slots := cfg.cgSlots()
 	p := make([]float64, n)
 	r := make([]float64, n)
 	x := make([]float64, n)
@@ -354,14 +352,7 @@ func CGReference(cfg CGConfig, iters int) []float64 {
 	for it := 0; it < iters; it++ {
 		pq := 0.0
 		for i := 0; i < n; i++ {
-			sum := 0.0
-			for k := 0; k < slots; k++ {
-				col := f64(rows[i], 2*k)
-				if col < 0 {
-					continue
-				}
-				sum += f64(rows[i], 2*k+1) * p[int(col)]
-			}
+			sum, _ := cgRowDot(rows[i], p)
 			q[i] = sum
 			pq += p[i] * sum
 		}

@@ -4,19 +4,21 @@ import "mheta/internal/exec"
 
 // Test-only accessors for the external apps_test package.
 
+// F64sForTest exposes the float64 view the kernels use on extents.
+func F64sForTest(b []byte) []float64 { return f64s(b) }
+
 // CGNNZForTest exposes the true nonzero count of row i.
 func CGNNZForTest(cfg CGConfig, i int) int { return cgNNZ(cfg, i) }
 
 // CGRowEntriesForTest exposes row i's (column → value) map.
 func CGRowEntriesForTest(cfg CGConfig, i int) map[int]float64 {
-	row := cgRow(cfg, i)
+	row := make([]float64, 2*cfg.cgSlots())
+	cgRowInto(row, cfg, i)
 	out := make(map[int]float64)
-	for k := 0; k < cfg.cgSlots(); k++ {
-		col := f64(row, 2*k)
-		if col < 0 {
-			continue
+	for k := 0; k < len(row); k += 2 {
+		if row[k] >= 0 {
+			out[int(row[k])] = row[k+1]
 		}
-		out[int(col)] = f64(row, 2*k+1)
 	}
 	return out
 }

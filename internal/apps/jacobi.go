@@ -119,11 +119,6 @@ type jacobiState struct {
 	red [1]float64
 }
 
-// jacobiBoundaryRow produces the initial value of global row i.
-func jacobiBoundaryRow(cfg JacobiConfig, i int) []float64 {
-	return jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, i)
-}
-
 // jacobiBoundaryRowInto writes the initial value of global row i into
 // row, which holds cfg.Cols values, and returns it.
 func jacobiBoundaryRowInto(row []float64, cfg JacobiConfig, i int) []float64 {
@@ -138,10 +133,9 @@ func (s *jacobiState) Init(nc *exec.NodeCtx) {
 	if nc.Count > 0 {
 		// Lay the local block out on disk (Local Placement rule).
 		block := make([]byte, int64(nc.Count)*int64(cfg.Cols)*8)
-		for i := 0; i < nc.Count; i++ {
-			for j := 0; j < cfg.Cols; j++ {
-				putF64(block, i*cfg.Cols+j, hash64(cfg.Seed, (nc.Start+i)*cfg.Cols+j))
-			}
+		b := f64s(block)
+		for k := range b {
+			b[k] = hash64(cfg.Seed, nc.Start*cfg.Cols+k)
 		}
 		nc.R.Disk().Store("B", block)
 	}
@@ -168,20 +162,20 @@ func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int,
 		// row i−1's value until row i's replaces it. math.Abs is
 		// branch-free; it differs from compare-and-negate only at −0,
 		// which adds nothing to a sum that starts at +0.
-		up := s.carry
+		cols := cfg.Cols
+		up := s.carry[:cols]
 		res := s.residual
 		if gRow == nc.Start {
 			copy(up, s.haloUp)
 			res = 0
 		}
-		cols := cfg.Cols
+		b := f64s(buf)
 		for i := 0; i < nRows; i++ {
-			base := i * cols
-			left := f64(buf, base) // column 0 is its own left neighbour
-			for j := 0; j < cols; j++ {
-				old := f64(buf, base+j)
+			row := b[i*cols:][:cols]
+			left := row[0] // column 0 is its own left neighbour
+			for j, old := range row {
 				v := 0.25*up[j] + 0.5*old + 0.25*left
-				putF64(buf, base+j, v)
+				row[j] = v
 				up[j] = v
 				left = v
 				res += math.Abs(v - old)
@@ -232,7 +226,7 @@ func (s *jacobiState) OnReduce(nc *exec.NodeCtx, sec int, vals []float64) {
 func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, float64) {
 	grid := make([][]float64, cfg.Rows)
 	for i := range grid {
-		grid[i] = jacobiBoundaryRow(cfg, i)
+		grid[i] = jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, i)
 	}
 	starts := make([]int, len(blocks))
 	s := 0
@@ -245,7 +239,7 @@ func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, fl
 		if starts[p] > 0 {
 			halos[p] = append([]float64(nil), grid[starts[p]-1]...)
 		} else {
-			halos[p] = jacobiBoundaryRow(cfg, -1)
+			halos[p] = jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, -1)
 		}
 	}
 	residual := 0.0

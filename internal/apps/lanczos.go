@@ -121,11 +121,12 @@ type lanczosState struct {
 func (s *lanczosState) Init(nc *exec.NodeCtx) {
 	cfg := s.cfg
 	if nc.Count > 0 {
-		rowBytes := int64(cfg.N) * 8
-		block := make([]byte, int64(nc.Count)*rowBytes)
+		block := make([]byte, int64(nc.Count)*int64(cfg.N)*8)
+		a := f64s(block)
 		for i := 0; i < nc.Count; i++ {
-			for j := 0; j < cfg.N; j++ {
-				putF64(block, i*cfg.N+j, lanczosEntry(cfg, nc.Start+i, j))
+			row := a[i*cfg.N:][:cfg.N]
+			for j := range row {
+				row[j] = lanczosEntry(cfg, nc.Start+i, j)
 			}
 		}
 		nc.R.Disk().Store("A", block)
@@ -152,13 +153,14 @@ func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int
 		if gRow == nc.Start {
 			s.local = 0
 		}
+		a := f64s(buf)
+		v := s.v[:cfg.N]
 		for i := 0; i < nRows; i++ {
 			gi := gRow + i
 			li := gi - nc.Start
 			sum := 0.0
-			base := i * cfg.N
-			for j := 0; j < cfg.N; j++ {
-				sum += f64(buf, base+j) * s.v[j]
+			for j, x := range a[i*cfg.N:][:cfg.N] {
+				sum += x * v[j]
 			}
 			s.w[li] = sum
 			s.local += s.v[gi] * sum

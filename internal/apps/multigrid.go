@@ -123,9 +123,10 @@ type mgState struct {
 	msg []byte
 }
 
-// mgInitRow generates initial fine-row values; the workspace starts zero.
-func mgInitRow(cfg MGConfig, i int) []float64 {
-	row := make([]float64, cfg.Cols)
+// mgInitRowInto writes the initial fine-row values of global row i into
+// row, which holds cfg.Cols values, and returns it; the workspace starts
+// zero.
+func mgInitRowInto(row []float64, cfg MGConfig, i int) []float64 {
 	for j := range row {
 		row[j] = hash64(cfg.Seed, i*cfg.Cols+j)
 	}
@@ -135,14 +136,11 @@ func mgInitRow(cfg MGConfig, i int) []float64 {
 func (s *mgState) Init(nc *exec.NodeCtx) {
 	cfg := s.cfg
 	if nc.Count > 0 {
-		eb := int(cfg.mgElemBytes())
-		block := make([]byte, nc.Count*eb)
+		block := make([]byte, int64(nc.Count)*cfg.mgElemBytes())
+		u := f64s(block)
 		for i := 0; i < nc.Count; i++ {
-			fine := mgInitRow(cfg, nc.Start+i)
-			for j, v := range fine {
-				putF64(block[i*eb:], j, v)
-			}
-			// workspace half stays zero
+			// The fine half of each row; the workspace half stays zero.
+			mgInitRowInto(u[2*cfg.Cols*i:][:cfg.Cols], cfg, nc.Start+i)
 		}
 		nc.R.Disk().Store("U", block)
 	}
@@ -151,7 +149,7 @@ func (s *mgState) Init(nc *exec.NodeCtx) {
 			if sec == 1 || sec == 2 {
 				s.halo[sec] = make([]float64, cfg.Cols) // workspace starts zero
 			} else {
-				s.halo[sec] = mgInitRow(cfg, nc.Start-1)
+				s.halo[sec] = mgInitRowInto(make([]float64, cfg.Cols), cfg, nc.Start-1)
 			}
 		} else {
 			s.halo[sec] = make([]float64, cfg.Cols)
@@ -178,24 +176,25 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 			s.residual = 0
 		}
 	}
+	prev, out = prev[:cols], out[:cols]
 	res := s.residual
 	work := 0.0
+	u := f64s(buf)
 	for i := 0; i < nRows; i++ {
 		gi := gRow + i
-		base := i * 2 * cols  // fine row offset (in float64 slots)
-		wsBase := base + cols // workspace row offset
+		fine := u[2*cols*i:][:cols]    // the fine row
+		ws := u[2*cols*i+cols:][:cols] // its workspace row
 		switch sec {
 		case 0, 3: // smoothing sweeps on the fine grid
 			for sw := 0; sw < cfg.Smooths; sw++ {
-				left := f64(buf, base) // column 0 is its own left neighbour
-				for j := 0; j < cols; j++ {
-					old := f64(buf, base+j)
+				left := fine[0] // column 0 is its own left neighbour
+				for j, old := range fine {
 					v := 0.25*prev[j] + 0.5*old + 0.25*left
 					if sec == 3 {
 						// prolongation: add the coarse correction first
-						v += 0.5 * f64(buf, wsBase+j)
+						v += 0.5 * ws[j]
 					}
-					putF64(buf, base+j, v)
+					fine[j] = v
 					out[j] = v
 					left = v
 					if sec == 3 {
@@ -209,26 +208,22 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 			}
 		case 1: // restriction: residual of fine rows onto even-row workspace
 			if gi%2 == 0 {
-				for j := 0; j < cols; j++ {
-					fine := f64(buf, base+j)
-					r := fine - prev[j]
-					putF64(buf, wsBase+j, 0.5*r)
+				for j, f := range fine {
+					r := f - prev[j]
+					ws[j] = 0.5 * r
 					out[j] = 0.5 * r
 				}
 				work += float64(cols) / 2
 			} else {
-				for j := 0; j < cols; j++ {
-					putF64(buf, wsBase+j, 0)
-				}
+				clear(ws)
 				clear(out)
 			}
 		case 2: // coarse smooth: workspace sweep on even rows
 			if gi%2 == 0 {
-				left := f64(buf, wsBase)
-				for j := 0; j < cols; j++ {
-					old := f64(buf, wsBase+j)
+				left := ws[0]
+				for j, old := range ws {
 					v := 0.25*prev[j] + 0.5*old + 0.25*left
-					putF64(buf, wsBase+j, v)
+					ws[j] = v
 					out[j] = v
 					left = v
 				}
@@ -277,7 +272,7 @@ func MGReference(cfg MGConfig, blocks []int, iters int) [][]float64 {
 	fine := make([][]float64, n)
 	ws := make([][]float64, n)
 	for i := range fine {
-		fine[i] = mgInitRow(cfg, i)
+		fine[i] = mgInitRowInto(make([]float64, cfg.Cols), cfg, i)
 		ws[i] = make([]float64, cfg.Cols)
 	}
 	starts := make([]int, len(blocks))
@@ -295,7 +290,7 @@ func MGReference(cfg MGConfig, blocks []int, iters int) [][]float64 {
 				if sec == 1 || sec == 2 {
 					halos[sec][p] = make([]float64, cfg.Cols)
 				} else {
-					halos[sec][p] = mgInitRow(cfg, starts[p]-1)
+					halos[sec][p] = mgInitRowInto(make([]float64, cfg.Cols), cfg, starts[p]-1)
 				}
 			} else {
 				halos[sec][p] = make([]float64, cfg.Cols)

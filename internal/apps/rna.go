@@ -128,13 +128,11 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 	switch sec {
 	case 0:
 		strip := cfg.strip()
-		colBase := tile * strip
 		// carryStrip rolls the previous row's strip (current iteration)
 		// in place: at column j it holds row i−1's value until row i's
-		// replaces it. The builtin max is branch-free; it differs from
-		// compare-and-select only on NaN and −0, and no cell holds
-		// either (each is a score in [0, 1) plus half a cell or zero).
-		up := s.carryStrip
+		// replaces it. lastCol carries each row's left edge in and its
+		// right edge out; tile 0's left edge is zero.
+		up := s.carryStrip[:strip]
 		if gRow == nc.Start {
 			if nc.ActiveIndex() == 0 {
 				clear(up) // table boundary row: zeros
@@ -145,23 +143,22 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 		score := s.score
 		if gRow == nc.Start && tile == 0 {
 			score = 0
+			clear(s.lastCol)
 		}
-		for i := 0; i < nRows; i++ {
-			li := gRow - nc.Start + i
-			left := 0.0
-			if tile > 0 {
-				left = s.lastCol[li]
+		b := f64s(buf)
+		edge := s.lastCol[gRow-nc.Start:][:nRows]
+		for i := 0; i < nRows; i += 2 {
+			cell := (gRow+i)*cfg.Cols + tile*strip // rnaScore's index of the row's first cell
+			r0 := b[i*strip:][:strip]
+			if i+1 == nRows {
+				edge[i] = rnaRow(cfg.Seed, cell, up, r0, edge[i])
+				break
 			}
-			base := i * strip
-			for j := 0; j < strip; j++ {
-				v := 0.5*max(up[j], left) + rnaScore(cfg, gRow+i, colBase+j)
-				putF64(buf, base+j, v)
-				up[j] = v
-				left = v
-			}
-			s.lastCol[li] = left
-			if tile == cfg.Tiles-1 {
-				score += left // row's final-column value
+			edge[i], edge[i+1] = rnaRowPair(cfg.Seed, cell, cfg.Cols, up, r0, b[(i+1)*strip:][:strip], edge[i], edge[i+1])
+		}
+		if tile == cfg.Tiles-1 {
+			for _, v := range edge {
+				score += v // each row's final-column value
 			}
 		}
 		s.score = score
@@ -171,6 +168,41 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 	default:
 		panic("rna: unexpected section")
 	}
+}
+
+// rnaRow computes one row of a strip, row[j] = 0.5·max(up[j], left) +
+// s(cell+j) with left the value just computed, rolls it into up and
+// returns its last value. The builtin max is branch-free; it differs
+// from compare-and-select only on NaN and −0, which no cell holds (each
+// is a score in [0, 1) plus half a cell or zero).
+func rnaRow(seed uint64, cell int, up, row []float64, left float64) float64 {
+	up = up[:len(row)]
+	for j := range row {
+		v := 0.5*max(up[j], left) + hash64(seed, cell+j)
+		row[j], up[j], left = v, v, v
+	}
+	return left
+}
+
+// rnaRowPair is rnaRow over two consecutive rows r0 and r1, whose
+// scores start cols apart. r1 runs one column behind r0, so the two
+// serial chains through left overlap their latencies; each cell sees
+// the same operands in the same order as under rnaRow. up ends holding
+// r1.
+func rnaRowPair(seed uint64, cell, cols int, up, r0, r1 []float64, l0, l1 float64) (float64, float64) {
+	n := len(r0)
+	up, r1 = up[:n], r1[:n]
+	l0 = 0.5*max(up[0], l0) + hash64(seed, cell)
+	r0[0] = l0
+	for j := 1; j < n; j++ {
+		v0 := 0.5*max(up[j], l0) + hash64(seed, cell+j)
+		v1 := 0.5*max(r0[j-1], l1) + hash64(seed, cell+cols+j-1)
+		r0[j], l0 = v0, v0
+		r1[j-1], up[j-1], l1 = v1, v1, v1
+	}
+	l1 = 0.5*max(r0[n-1], l1) + hash64(seed, cell+cols+n-1)
+	r1[n-1], up[n-1] = l1, l1
+	return l0, l1
 }
 
 func (s *rnaState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {

@@ -14,7 +14,6 @@ package disksim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mheta/internal/vclock"
 )
@@ -98,8 +97,9 @@ const (
 //
 // Disk methods take the owning rank's clock explicitly so that the same
 // Disk can be driven by instrumented and plain runs. A Disk is owned by
-// one rank goroutine; the store is additionally protected by a mutex so
-// verification code may inspect it after a run.
+// one goroutine at a time: the world's driver during a run, the caller
+// after it. It holds no lock, because Read and PrefetchWait hand out
+// views into the store that no lock could guard.
 type Disk struct {
 	params Params
 	noise  *vclock.Noise
@@ -109,14 +109,10 @@ type Disk struct {
 	// slower). 1 for a private commodity disk.
 	contention float64 //mheta:units ratio
 
-	// mu guards only the extent store: timing state below it is owned by
-	// the rank goroutine, but verification code (tests, the experiment
-	// harness) inspects extents while other ranks may still be writing.
-	mu    sync.Mutex
-	store map[string][]byte //mheta:guardedby mu
+	store map[string][]byte
 
 	busyUntil vclock.Time
-	pending   map[int]*pendingRead
+	pending   map[int]pendingRead
 	nextTag   int
 	mode      Mode
 
@@ -161,24 +157,18 @@ func (d *Disk) Params() Params { return d.params }
 // SetMode switches between normal and instrumented behaviour.
 func (d *Disk) SetMode(m Mode) { d.mode = m }
 
-// GetMode reports the current mode.
-func (d *Disk) GetMode() Mode { return d.mode }
-
 // Create allocates (or reallocates) a named extent of n bytes, zeroed.
 func (d *Disk) Create(name string, n int) { d.Store(name, make([]byte, n)) }
 
 // Store makes data the named extent without charging any time. It is
 // used to lay out initial datasets "already on disk" before a run starts,
 // matching the paper's Local Placement rule (each node's block starts on
-// its local disk), and to flush in-core arrays after one.
+// its local disk).
 //
 // Store takes ownership of data instead of copying it: the caller must
 // not touch the slice afterwards. Every caller hands over a buffer it has
-// just built or is finished with. Read, PrefetchWait and Extent still
-// return copies, so nothing the disk hands out aliases the extent.
+// just built.
 func (d *Disk) Store(name string, data []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.store == nil {
 		d.store = make(map[string][]byte)
 	}
@@ -188,8 +178,6 @@ func (d *Disk) Store(name string, data []byte) {
 // Extent returns a copy of the named extent, or nil if absent. Test and
 // verification helper; charges no time.
 func (d *Disk) Extent(name string) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b, ok := d.store[name]
 	if !ok {
 		return nil
@@ -199,8 +187,6 @@ func (d *Disk) Extent(name string) []byte {
 
 // Extents returns the sorted names of all extents on the disk.
 func (d *Disk) Extents() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	names := make([]string, 0, len(d.store))
 	for k := range d.store {
 		names = append(names, k)
@@ -211,14 +197,10 @@ func (d *Disk) Extents() []string {
 
 // Size returns the size in bytes of the named extent (0 if absent).
 func (d *Disk) Size(name string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.store[name])
 }
 
 func (d *Disk) slice(name string, off, n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b, ok := d.store[name]
 	if !ok {
 		panic(fmt.Sprintf("disksim: read of missing extent %q", name))
@@ -250,17 +232,10 @@ func (d *Disk) serviceTime(issue vclock.Time, cost vclock.Duration) vclock.Time 
 // Read synchronously reads n bytes at off from the named extent, charging
 // Or + n·Lr against clk (plus disk-queue delay). It returns the bytes read
 // and the charged duration (used by the instrumentation hooks).
+// The bytes are a view of the extent, not a copy: the caller may update
+// them in place and hand them back to Write, which then copies nothing.
 func (d *Disk) Read(clk *vclock.Clock, name string, off, n int) ([]byte, vclock.Duration) {
-	data := append([]byte(nil), d.slice(name, off, n)...)
-	return data, d.readWait(clk, n)
-}
-
-// ReadInto is Read into dst instead of a fresh buffer: it reads
-// len(dst) bytes at off with the same timing, for callers that reuse one
-// buffer across reads.
-func (d *Disk) ReadInto(clk *vclock.Clock, name string, off int, dst []byte) vclock.Duration {
-	copy(dst, d.slice(name, off, len(dst)))
-	return d.readWait(clk, len(dst))
+	return d.slice(name, off, n), d.readWait(clk, n)
 }
 
 // readWait charges a synchronous n-byte read against clk and returns the
@@ -276,16 +251,17 @@ func (d *Disk) readWait(clk *vclock.Clock, n int) vclock.Duration {
 }
 
 // Write synchronously writes data at off into the named extent, charging
-// Ow + len·Lw against clk. It returns the charged duration.
+// Ow + len·Lw against clk. It returns the charged duration. Writing back
+// a view that Read or PrefetchWait returned for the same range copies
+// nothing, but charges and counts exactly as any other write.
 func (d *Disk) Write(clk *vclock.Clock, name string, off int, data []byte) vclock.Duration {
-	d.mu.Lock()
 	b, ok := d.store[name]
 	if !ok || off < 0 || off+len(data) > len(b) {
-		d.mu.Unlock()
 		panic(fmt.Sprintf("disksim: write [%d,%d) out of extent %q", off, off+len(data), name))
 	}
-	copy(b[off:], data)
-	d.mu.Unlock()
+	if len(data) > 0 && &b[off] != &data[0] {
+		copy(b[off:], data)
+	}
 	cost := d.perturb(d.params.WriteCost(len(data)))
 	done := d.serviceTime(clk.Now(), cost)
 	start := clk.Now()
@@ -307,9 +283,9 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	d.nextTag++
 	d.Prefetches++
 	if d.mode == ModeInstrument {
-		d.slice(name, off, n) // bounds check; PrefetchWait copies the data
+		d.slice(name, off, n) // bounds check; PrefetchWait returns the data
 		d.readWait(clk, n)
-		d.track(tag, &pendingRead{name: name, off: off, n: n, complete: clk.Now()})
+		d.track(tag, pendingRead{name: name, off: off, n: n, complete: clk.Now()})
 		return tag
 	}
 	clk.Advance(d.params.IssueCost)
@@ -317,14 +293,14 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	complete := d.serviceTime(clk.Now(), cost)
 	d.BytesRead += int64(n)
 	d.Reads++
-	d.track(tag, &pendingRead{name: name, off: off, n: n, complete: complete})
+	d.track(tag, pendingRead{name: name, off: off, n: n, complete: complete})
 	return tag
 }
 
 // track records an issued prefetch, creating the table on first use.
-func (d *Disk) track(tag int, p *pendingRead) {
+func (d *Disk) track(tag int, p pendingRead) {
 	if d.pending == nil {
-		d.pending = make(map[int]*pendingRead)
+		d.pending = make(map[int]pendingRead)
 	}
 	d.pending[tag] = p
 }
@@ -333,7 +309,7 @@ func (d *Disk) track(tag int, p *pendingRead) {
 // tag completes, returns the data, and reports how long the rank actually
 // waited (zero when computation fully masked the latency — the Le = 0 case
 // of Equation 2). In ModeInstrument the wait is a no-op because the issue
-// already blocked.
+// already blocked. The data is a view of the extent, as from Read.
 func (d *Disk) PrefetchWait(clk *vclock.Clock, tag int) ([]byte, vclock.Duration) {
 	p, ok := d.pending[tag]
 	if !ok {
@@ -344,7 +320,7 @@ func (d *Disk) PrefetchWait(clk *vclock.Clock, tag int) ([]byte, vclock.Duration
 	if d.mode != ModeInstrument {
 		waited = clk.WaitUntil(p.complete)
 	}
-	return append([]byte(nil), d.slice(p.name, p.off, p.n)...), waited
+	return d.slice(p.name, p.off, p.n), waited
 }
 
 // OutstandingPrefetches reports how many issued prefetches have not been

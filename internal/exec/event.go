@@ -237,7 +237,6 @@ func (m *evRank) step() bool {
 
 		case pcFinish:
 			m.env.ends[m.r.Rank()] = float64(m.r.Now())
-			m.nc.flushInCore()
 			m.pc = pcDone
 			return true
 

@@ -93,8 +93,8 @@ type NodeCtx struct {
 	Count int // rows owned
 	Iter  int // current iteration
 	// InCore holds memory-resident local arrays keyed by variable name,
-	// laid out tile-major (the on-disk layout). It is nil until the first
-	// in-core array is loaded.
+	// laid out tile-major (the on-disk layout). Each is a view of its
+	// disk extent. It is nil until the first in-core array is loaded.
 	InCore map[string][]byte
 
 	app     *App
@@ -413,7 +413,9 @@ func residencyPlan(dvars []program.Variable, count int, mem int64, instrumentMod
 
 // loadInCore performs the compulsory read of each in-core local array
 // into memory — once, before the iteration loop, so steady-state
-// iterations incur no I/O for them (§3.1).
+// iterations incur no I/O for them (§3.1). The read returns a view of
+// the whole extent, so the kernels update the disk's copy in place and
+// post-run verification sees final values with no flush.
 func (nc *NodeCtx) loadInCore() {
 	for _, v := range nc.dvars {
 		l, ok := nc.plan[v.Name]
@@ -425,22 +427,5 @@ func (nc *NodeCtx) loadInCore() {
 			nc.InCore = make(map[string][]byte, len(nc.dvars))
 		}
 		nc.InCore[v.Name] = data
-	}
-}
-
-// flushInCore writes memory-resident local arrays back to disk after the
-// measured region — the program's terminal output write, so post-run
-// verification sees final values whether a variable lived in or out of
-// core. The flush is untimed: it is outside the iterative phase both the
-// emulator and the model measure. Store takes each array without a copy:
-// the run is over and nothing touches InCore again.
-func (nc *NodeCtx) flushInCore() {
-	for _, v := range nc.dvars {
-		if v.ReadOnly {
-			continue
-		}
-		if data, ok := nc.InCore[v.Name]; ok {
-			nc.R.Disk().Store(v.Name, data)
-		}
 	}
 }

@@ -118,7 +118,9 @@ func (g chunkGeom) chunk(c int) (rowStart, rows int, off, bytes int) {
 }
 
 // runChunksSync is the original ICLA loop (Figure 6 left): read a chunk,
-// process it, write it back.
+// process it, write it back. The chunk is a view of the extent, so the
+// kernel updates it in place and the write-back charges its time without
+// copying.
 func (nc *NodeCtx) runChunksSync(si, sti, tile int, s *program.Section, v *program.Variable, layout memsim.Layout) {
 	g := nc.chunkGeom(v, s.Tiles, tile, layout)
 	for c := 0; c < g.stream.ChunksPerTile; c++ {

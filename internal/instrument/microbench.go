@@ -178,9 +178,8 @@ func MicroBenchNet(w *mpi.World, reps int) (core.NetParams, error) {
 // are measured and output as node-specific data" (§4.1.1) — and the
 // prefetch issue overhead To, using timed reads and writes of a scratch
 // extent at two sizes. It sends no messages, so it runs rank by rank.
-// Reads go to the disk directly, into one reused buffer: timing a read
-// does not depend on where its bytes land, and the benchmark world has
-// no profiler for FileRead's hooks to call.
+// Reads go to the disk directly: the benchmark world has no profiler for
+// FileRead's hooks to call. Each read's view is written straight back.
 func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 	if reps < 1 {
 		reps = 1
@@ -192,15 +191,14 @@ func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 		r.Disk().Create(scratch, diskSizeLarge)
 		readAvg := make(map[int]float64, 2)
 		writeAvg := make(map[int]float64, 2)
-		buf := make([]byte, diskSizeLarge)
 		for _, size := range []int{diskSizeSmall, diskSizeLarge} {
 			var rSum, wSum float64
 			for rep := 0; rep < reps; rep++ {
 				t0 := r.Now()
-				r.Disk().ReadInto(r.Clock(), scratch, 0, buf[:size])
+				buf, _ := r.Disk().Read(r.Clock(), scratch, 0, size)
 				rSum += float64(r.Now() - t0)
 				t1 := r.Now()
-				r.FileWrite(scratch, 0, buf[:size])
+				r.FileWrite(scratch, 0, buf)
 				wSum += float64(r.Now() - t1)
 			}
 			readAvg[size] = rSum / float64(reps)

@@ -7,7 +7,8 @@ package mpi
 // variable IDs.
 
 // FileRead synchronously reads n bytes of variable v at byte offset off
-// from the rank's local disk and returns them.
+// from the rank's local disk and returns them as a view of the extent
+// (disksim.Disk.Read).
 func (r *Rank) FileRead(v string, off, n int) []byte {
 	c := CallInfo{Kind: CallFileRead, Var: v, Bytes: n}
 	start := r.begin(c)
@@ -37,7 +38,7 @@ func (r *Rank) FilePrefetchIssue(v string, off, n int) int {
 }
 
 // FilePrefetchWait blocks until the prefetch completes and returns its
-// data. The CallInfo's Wait field carries the unmasked latency (zero when
+// data, a view of the extent like FileRead's. The CallInfo's Wait field carries the unmasked latency (zero when
 // overlap computation fully hid the read — the Le = 0 case of Equation 2).
 func (r *Rank) FilePrefetchWait(v string, tag int) []byte {
 	c := CallInfo{Kind: CallPrefetchWait, Var: v}

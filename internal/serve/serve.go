@@ -212,9 +212,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // resolveScenario validates a wire scenario and returns the canonical
-// key plus the built (cheap, unmeasured) cluster spec and application.
+// key plus the cluster spec and application. A warm scenario reuses its
+// engine's spec and application; only an engine-map miss builds them.
 // Defaults mirror the CLI flags: scale "paper", seed 42.
-func resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.App, error) {
+func (s *Server) resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.App, error) {
 	if w.App == "" {
 		return Scenario{}, cluster.Spec{}, nil, errors.New("missing \"app\" (jacobi, jacobi-pf, cg, lanczos, rna, multigrid)")
 	}
@@ -227,6 +228,12 @@ func resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.App, error) 
 	}
 	if w.Seed != nil {
 		scen.Seed = *w.Seed
+	}
+	s.mu.Lock()
+	e := s.engines[scen]
+	s.mu.Unlock()
+	if e != nil {
+		return scen, e.spec, e.app, nil
 	}
 	b, err := experiments.BuilderByName(scen.App)
 	if err != nil {
@@ -325,7 +332,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	scen, spec, app, err := resolveScenario(req.scenarioWire)
+	scen, spec, app, err := s.resolveScenario(req.scenarioWire)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -409,7 +416,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	scen, spec, app, err := resolveScenario(req.scenarioWire)
+	scen, spec, app, err := s.resolveScenario(req.scenarioWire)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -117,6 +117,39 @@ func TestPredictMatchesModel(t *testing.T) {
 	}
 }
 
+// TestWarmRequestBuildsNoApp pins resolveScenario's engine lookup:
+// once a scenario has an engine, resolving it again returns the
+// engine's own application and builds nothing (no allocation at all),
+// while a scenario without one still builds a fresh application.
+func TestWarmRequestBuildsNoApp(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire()}); code != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", code, data)
+	}
+	scen, _, app, err := srv.resolveScenario(testWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	e := srv.engines[scen]
+	srv.mu.Unlock()
+	if e == nil || app != e.app {
+		t.Fatal("a warm scenario did not resolve to its engine's application")
+	}
+	if n := testing.AllocsPerRun(20, func() { srv.resolveScenario(testWire()) }); n != 0 {
+		t.Fatalf("warm resolve allocates %v times, want 0 (no Build)", n)
+	}
+	cold := testWire()
+	cold.App = "rna"
+	_, _, a1, _ := srv.resolveScenario(cold)
+	_, _, a2, _ := srv.resolveScenario(cold)
+	if a1 == nil || a1 == a2 {
+		t.Fatal("a scenario without an engine did not build its application")
+	}
+}
+
 // TestPredictDetailedMatchesModel pins the detailed fields against
 // PredictDetailed on a reference model.
 func TestPredictDetailedMatchesModel(t *testing.T) {
