@@ -18,8 +18,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -333,59 +331,30 @@ func benchSearch(b *testing.B, alg string) {
 	b.ReportMetric(blk/res.Time, "speedup-vs-blk")
 }
 
-// BenchmarkSearchParallel measures the concurrent evaluation pool: GBS
-// and Genetic at 1, 4 and NumCPU workers (each count once), reporting
-// allocs/op and candidate throughput. Results are bit-identical across
-// worker counts (see internal/search pool tests); only the speed changes.
-func BenchmarkSearchParallel(b *testing.B) {
-	spec, app, model := benchSearchModel(b)
-	workerCounts := []int{1, 4}
-	if n := runtime.NumCPU(); !slices.Contains(workerCounts, n) {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic} {
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var res mheta.SearchResult
-				var err error
-				for i := 0; i < b.N; i++ {
-					res, err = mheta.SearchWithWorkers(alg, spec, app, model, 42, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportSearch(b, res)
-			})
-		}
-	}
-}
-
 // BenchmarkSearchFreshClone measures a search the way mheta-serve's
 // /search runs one: each op clones the instrumented master, predicts the
 // Blk baseline on the clone and searches it. Unlike benchSearch, which
 // reuses one model, every op pays what a clone does not share with its
-// master — its scratch, its delta evaluator and its pool workers.
+// master — its scratch and its delta evaluator. The "/workers=1" suffix
+// keeps the rows' baseline IDs from when searches could fan out.
 func BenchmarkSearchFreshClone(b *testing.B) {
 	spec, app, master := benchSearchModel(b)
 	blk := mheta.BlockDistribution(app, spec)
 	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var res mheta.SearchResult
-				var err error
-				for i := 0; i < b.N; i++ {
-					model := master.Clone()
-					_ = model.Predict(blk)
-					res, err = mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(alg+"/workers=1", func(b *testing.B) {
+			b.ReportAllocs()
+			var res mheta.SearchResult
+			var err error
+			for i := 0; i < b.N; i++ {
+				model := master.Clone()
+				_ = model.Predict(blk)
+				res, err = mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportSearch(b, res)
-			})
-		}
+			}
+			reportSearch(b, res)
+		})
 	}
 }
 

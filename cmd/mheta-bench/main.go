@@ -43,7 +43,7 @@ import (
 const defaultBench = "^Benchmark(ModelEvaluate|ModelEvaluatePipelined|" +
 	"MemoisedEvaluate|MemoisedEvaluateObserved|MemoConcurrentBatches|" +
 	"DeltaEvaluate|DeltaEvaluatePipelined|Emulate|ServePredict|" +
-	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|SearchParallel|" +
+	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|" +
 	"SearchFreshClone|Sweep)$"
 
 // defaultGate guards the memo, search and emulator-scaling benchmarks —

@@ -5,7 +5,9 @@
 //	mheta-experiments [-scale paper|quick|test] [-which all|table1|fig8|fig9|fig9pf|fig9apps|fig10|fig11|ratios|search|latency] [-parallel N]
 //
 // Output is the text rendering of each experiment; EXPERIMENTS.md records
-// a reference run alongside the paper's numbers.
+// a reference run alongside the paper's numbers. -parallel N is the sweep
+// fan-out: independent (architecture, application) sweeps run on N
+// goroutines, and the output is identical for any N.
 package main
 
 import (
@@ -33,7 +35,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: paper, quick or test")
 	which := flag.String("which", "all", "experiment to run: all, table1, fig8, fig9, fig9pf, fig9apps, fig10, fig11, ratios, search, interference, latency")
 	seed := flag.Uint64("seed", 0x8E7A, "noise seed")
-	parallel := flag.Int("parallel", 1, "worker goroutines for sweep fan-out and search evaluation (>= 1); results are identical for any worker count")
+	parallel := flag.Int("parallel", 1, "worker goroutines for sweep fan-out (>= 1); results are identical for any worker count")
 	obsFlags := cliutil.RegisterObsFlags()
 	flag.Parse()
 

@@ -6,11 +6,11 @@
 //
 //	mheta-search -app jacobi -config HY1 -alg gbs
 //	mheta-search -app lanczos -config HY2 -alg all -verify
-//	mheta-search -app rna -config HY2 -alg genetic -parallel 4 -metrics m.json
+//	mheta-search -app rna -config HY2 -alg genetic -metrics m.json
 //	mheta-search -app jacobi -config IO -alg gbs -verify -trace-out run.json
 //
-// -metrics records the memo hit/miss counters, pool utilization and the
-// per-algorithm convergence series; -trace-out (single -alg, with
+// -metrics records the memo hit/miss counters, the delta-path counters
+// and the per-algorithm convergence series; -trace-out (single -alg, with
 // -verify) writes the verification run's timeline as Chrome trace-event
 // JSON for Perfetto.
 package main
@@ -40,12 +40,10 @@ func main() {
 	verify := flag.Bool("verify", false, "run the found distribution on the emulator and report the actual time")
 	traceOut := flag.String("trace-out", "", "write the -verify run's timeline as Chrome trace-event JSON to this file (single -alg only)")
 	seed := flag.Uint64("seed", 42, "noise seed")
-	parallel := flag.Int("parallel", 1, "evaluation workers per search (>= 1); results are identical for any worker count")
 	obsFlags := cliutil.RegisterObsFlags()
 	flag.Parse()
 
 	scale := cliutil.ParseScale(*scaleFlag)
-	workers := cliutil.ParseParallel(*parallel)
 	if *traceOut != "" {
 		if !*verify {
 			cliutil.Usagef("-trace-out traces the verification run; add -verify")
@@ -81,7 +79,7 @@ func main() {
 	fmt.Printf("%-10s %10.3f %8s  %v\n", "blk", blkPred, "-", blk)
 	for _, a := range algs {
 		res, err := mheta.SearchWithOptions(a, spec, app, model, *seed,
-			mheta.SearchOptions{Workers: workers, Metrics: reg})
+			mheta.SearchOptions{Metrics: reg})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -110,30 +110,6 @@ func TestSearch(t *testing.T) {
 	}
 }
 
-// TestSearchWorkerInvariance pins the determinism contract at the CLI:
-// every algorithm's stdout is byte-identical whether candidates are
-// scored on one worker or fanned out over three.
-func TestSearchWorkerInvariance(t *testing.T) {
-	for _, c := range []struct{ app, config string }{{"jacobi", "HY1"}, {"rna", "HY2"}} {
-		var outs [2][]byte
-		for i, workers := range []string{"1", "3"} {
-			cmd := exec.Command(filepath.Join(binDir, "mheta-search"), "-app", c.app, "-config", c.config,
-				"-scale", "test", "-alg", "all", "-parallel", workers)
-			out, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("%s/%s -parallel %s: %v", c.app, c.config, workers, err)
-			}
-			outs[i] = out
-		}
-		if !strings.Contains(string(outs[0]), "random") {
-			t.Fatalf("%s/%s: -alg all output lacks the random row:\n%s", c.app, c.config, outs[0])
-		}
-		if string(outs[0]) != string(outs[1]) {
-			t.Errorf("%s/%s: stdout differs between -parallel 1 and 3:\n%s\n---\n%s", c.app, c.config, outs[0], outs[1])
-		}
-	}
-}
-
 // writeBadModule lays out a throwaway module containing three deliberate
 // violations — a //lint:deterministic file calling time.Now, a
 // //mheta:guardedby field read without its lock, and a leaked ticker
@@ -304,10 +280,8 @@ func TestFlagRejection(t *testing.T) {
 	for _, bin := range []string{"mheta-emulate", "mheta-search", "mheta-predict", "mheta-experiments"} {
 		runExpectUsage(t, bin, []string{"scale"}, "-scale", "enormous")
 	}
-	for _, bin := range []string{"mheta-search", "mheta-experiments"} {
-		runExpectUsage(t, bin, []string{"-parallel"}, "-scale", "test", "-parallel", "0")
-		runExpectUsage(t, bin, []string{"-parallel"}, "-scale", "test", "-parallel", "-4")
-	}
+	runExpectUsage(t, "mheta-experiments", []string{"-parallel"}, "-scale", "test", "-parallel", "0")
+	runExpectUsage(t, "mheta-experiments", []string{"-parallel"}, "-scale", "test", "-parallel", "-4")
 	runExpectUsage(t, "mheta-predict", []string{"-params"})
 	runExpectUsage(t, "mheta-experiments", []string{"unknown experiment"}, "-scale", "test", "-which", "fig")
 	// -trace-out preconditions on mheta-search.
@@ -359,7 +333,7 @@ func TestSearchObservability(t *testing.T) {
 	traceFile := filepath.Join(dir, "trace.json")
 	metricsFile := filepath.Join(dir, "metrics.json")
 	out := run(t, "mheta-search", "-app", "jacobi", "-config", "HY1", "-scale", "test",
-		"-alg", "gbs", "-parallel", "2", "-verify", "-trace-out", traceFile, "-metrics", metricsFile)
+		"-alg", "gbs", "-verify", "-trace-out", traceFile, "-metrics", metricsFile)
 	if !strings.Contains(out, "gbs") || !strings.Contains(out, "verify") {
 		t.Fatalf("search output:\n%s", out)
 	}
@@ -367,7 +341,7 @@ func TestSearchObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"search.memo.hits", "search.memo.misses", "search.gbs.best", "search.pool.worker.01.evals"} {
+	for _, want := range []string{"search.memo.hits", "search.memo.misses", "search.gbs.best"} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q:\n%s", want, raw)
 		}

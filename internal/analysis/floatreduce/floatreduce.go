@@ -6,9 +6,9 @@
 // from a channel and folds them into a float accumulator — or appends
 // them to a result slice — merges in whatever order goroutines happen
 // to finish, so the last ULPs (or the slice order) change run to run.
-// The safe shape is the one search.Pool uses: give every work item an
-// index, have workers write out[i], and reduce the dense slice serially
-// in index order after the barrier.
+// The safe shape is the one experiments.Runner.fanOut uses: give every
+// work item an index, have workers write out[i], and reduce the dense
+// slice serially in index order after the barrier.
 package floatreduce
 
 import (
@@ -25,7 +25,7 @@ var Analyzer = &lintkit.Analyzer{
 	Doc: "flag float reductions that merge channel-delivered worker results in completion order\n\n" +
 		"Accumulating floats (or appending results) while receiving from a channel makes the\n" +
 		"merge order depend on goroutine scheduling; write results to an indexed slot and\n" +
-		"reduce in index order instead (see search.Pool.EvaluateBatchFromInto).",
+		"reduce in index order instead (see experiments.Runner.fanOut).",
 	Run: run,
 }
 
@@ -94,7 +94,7 @@ func checkLoop(pass *lintkit.Pass, loop ast.Node, body *ast.BlockStmt) {
 				return true
 			}
 			if t := pass.TypeOf(lhs); t != nil && lintkit.IsFloat(t) {
-				pass.Reportf(st.Pos(), "float accumulation into %s merges channel-delivered results in completion order; have workers fill an indexed slot and reduce in index order (search.Pool pattern)", obj.Name())
+				pass.Reportf(st.Pos(), "float accumulation into %s merges channel-delivered results in completion order; have workers fill an indexed slot and reduce in index order (experiments.Runner.fanOut pattern)", obj.Name())
 			}
 		case token.ASSIGN, token.DEFINE:
 			for i, rhs := range st.Rhs {
@@ -107,7 +107,7 @@ func checkLoop(pass *lintkit.Pass, loop ast.Node, body *ast.BlockStmt) {
 					continue
 				}
 				if pass.IsAppendTo(call, obj) {
-					pass.Reportf(st.Pos(), "append to %s collects channel-delivered results in completion order; have workers fill an indexed slot instead (search.Pool pattern)", obj.Name())
+					pass.Reportf(st.Pos(), "append to %s collects channel-delivered results in completion order; have workers fill an indexed slot instead (experiments.Runner.fanOut pattern)", obj.Name())
 				}
 			}
 		}

@@ -53,7 +53,7 @@ func MergeSelect(a, b <-chan float64, n int) float64 {
 }
 
 // IndexMerge writes each result into its own slot, so arrival order
-// cannot change the outcome. This is the search.Pool pattern.
+// cannot change the outcome. This is the experiments.Runner.fanOut pattern.
 func IndexMerge(ch <-chan result, n int) []float64 {
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {

@@ -9,10 +9,9 @@ package guarded
 // so the guarded selfcheck test keeps these honest.
 //
 // The tree currently needs no entries: every annotated field in
-// internal/search, internal/mpi, internal/obs, internal/trace,
-// internal/disksim, and internal/mpijack is unexported and only
-// accessed from its own package, where inference and annotations cover
-// it. The tables stay declared (and tested, see TestExternalMirror) so
+// internal/search, internal/obs and internal/serve is unexported and
+// only accessed from its own package, where inference and annotations
+// cover it. The tables stay declared (and tested, see TestExternalMirror) so
 // the first cross-package guarded field only needs an entry, not new
 // machinery.
 

@@ -34,7 +34,7 @@
 // conditional locking (`if locked { mu.Unlock() }`) loses the lock at
 // the join, locks reached through embedded-struct field promotion are
 // not matched, and a `go`-spawned literal inherits the spawn point's
-// lockset (fork-join-under-lock, as the Pool worker fan-out uses).
+// lockset (fork-join-under-lock).
 package guarded
 
 import (

@@ -48,15 +48,7 @@ func (r *Runner) RunSearchStudy(spec cluster.Spec, ab AppBuilder) (SearchStudy, 
 	if err != nil {
 		return SearchStudy{}, err
 	}
-	me := search.ModelEvaluator{Model: model}
-	var ev search.Evaluator = me
-	if w := r.workers(); w > 1 {
-		// Candidate evaluations fan out over per-worker model clones;
-		// search results are bit-identical to the serial path.
-		pool := search.NewPool(me, w, me.CloneEvaluator)
-		pool.Observe(r.Obs)
-		ev = pool
-	}
+	ev := search.ModelEvaluator{Model: model}
 
 	study := SearchStudy{Config: spec.Name, App: ab.Name}
 	em := r.emulation(spec, app)

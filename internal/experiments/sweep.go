@@ -26,15 +26,16 @@ type Runner struct {
 	// StepsPerLeg controls spectrum resolution (default 3, i.e. two
 	// interior points per leg — comparable to the paper's plots).
 	StepsPerLeg int
-	// Workers fans independent (architecture, application) sweeps and
-	// search evaluations out over this many goroutines; <= 1 runs
-	// serially. Every sweep is seeded independently, so results are
-	// identical for any worker count.
+	// Workers fans independent (architecture, application) sweeps out
+	// over this many goroutines; <= 1 runs serially. Every sweep is
+	// seeded independently, so results are identical for any worker
+	// count. Searches always run serially: one evaluation costs far less
+	// than a goroutine handoff.
 	Workers int
 	// Obs, when non-nil, receives the search study's observability:
-	// memo hit/miss counters, pool utilization and per-algorithm
-	// convergence series. Observation only — rendered tables and golden
-	// outputs are bit-identical with or without it.
+	// per-algorithm convergence series and memo hit/miss counters.
+	// Observation only — rendered tables and golden outputs are
+	// bit-identical with or without it.
 	Obs *obs.Registry
 }
 

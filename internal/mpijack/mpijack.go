@@ -11,7 +11,6 @@ package mpijack
 
 import (
 	"fmt"
-	"sync"
 
 	"mheta/internal/mpi"
 	"mheta/internal/vclock"
@@ -34,7 +33,8 @@ type Context struct {
 type Hook func(ctx Context, ci *mpi.CallInfo)
 
 // Jack is one rank's interposition state: hook registry plus context.
-// It implements mpi.Profiler. A Jack is owned by a single rank goroutine.
+// It implements mpi.Profiler. A Jack belongs to one rank and is driven by
+// its world's driver goroutine.
 type Jack struct {
 	ctx   Context
 	pre   map[mpi.CallKind][]Hook
@@ -165,21 +165,17 @@ type CommRecord struct {
 
 // Recorder collects one rank's instrumented-iteration measurements. It is
 // a plain data sink; the instrument package turns recorders from all
-// ranks into core.Params.
-// The maps are mutex-guarded because hooks from concurrently running
-// collectives can land on one recorder; the guardedby contract is
-// enforced in this package only — the instrument package reads the
-// exported maps after the run, single-goroutine, outside any lock
-// (deliberately not mirrored in guarded's ExternalFields).
+// ranks into core.Params after the run. It is unlocked: the world's one
+// driver goroutine runs every rank, so every hook lands on the recorder
+// from that goroutine.
 type Recorder struct {
-	mu   sync.Mutex
 	Rank int
-	IO   map[IOKey]*IORecord //mheta:guardedby mu
+	IO   map[IOKey]*IORecord
 	// Comm is keyed by {section, tile}.
-	Comm map[[2]int]*CommRecord //mheta:guardedby mu
+	Comm map[[2]int]*CommRecord
 	// StageSpans holds EnterStage..LeaveStage durations keyed by
 	// {section, tile, stage}; compute time = span − stage I/O (§4.1.1).
-	StageSpans map[[3]int]vclock.Duration //mheta:guardedby mu
+	StageSpans map[[3]int]vclock.Duration
 }
 
 // NewRecorder returns an empty recorder for the given rank.
@@ -218,16 +214,12 @@ func (rec *Recorder) comm(ctx Context) *CommRecord {
 // communication calls' parameters (§4.1.2).
 func (rec *Recorder) Attach(j *Jack) {
 	j.PostHook(mpi.CallFileRead, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		r := rec.io(ctx, ci.Var)
 		r.ReadCalls++
 		r.ReadBytes += int64(ci.Bytes)
 		r.ReadTime += ci.Duration()
 	})
 	j.PostHook(mpi.CallFileWrite, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		r := rec.io(ctx, ci.Var)
 		r.WriteCalls++
 		r.WriteBytes += int64(ci.Bytes)
@@ -236,8 +228,6 @@ func (rec *Recorder) Attach(j *Jack) {
 	// Under the instrumentation transform the issue *is* the read
 	// (Figure 5), so record it as one.
 	j.PostHook(mpi.CallPrefetchIssue, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		r := rec.io(ctx, ci.Var)
 		r.PrefetchIssues++
 		r.ReadCalls++
@@ -245,8 +235,6 @@ func (rec *Recorder) Attach(j *Jack) {
 		r.ReadTime += ci.Duration()
 	})
 	j.PostHook(mpi.CallSend, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		c := rec.comm(ctx)
 		c.Sends++
 		c.SendBytes += int64(ci.Bytes)
@@ -254,8 +242,6 @@ func (rec *Recorder) Attach(j *Jack) {
 		c.Peers[ci.Peer] = true
 	})
 	j.PostHook(mpi.CallRecv, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		c := rec.comm(ctx)
 		c.Recvs++
 		c.RecvBytes += int64(ci.Bytes)
@@ -264,8 +250,6 @@ func (rec *Recorder) Attach(j *Jack) {
 		c.Peers[ci.Peer] = true
 	})
 	j.PostHook(mpi.CallReduce, func(ctx Context, ci *mpi.CallInfo) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
 		c := rec.comm(ctx)
 		c.Reductions++
 		c.ReduceBytes += int64(ci.Bytes)
@@ -276,16 +260,12 @@ func (rec *Recorder) Attach(j *Jack) {
 // RecordStageSpan adds a measured stage duration (the harness calls this
 // around EnterStage/LeaveStage).
 func (rec *Recorder) RecordStageSpan(section, tile, stage int, d vclock.Duration) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
 	rec.StageSpans[[3]int{section, tile, stage}] += d
 }
 
 // RecordOverlap adds measured overlap computation Tov (covering elems
 // elements) for a prefetching stage's variable.
 func (rec *Recorder) RecordOverlap(section, tile, stage int, v string, d vclock.Duration, elems int) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
 	k := IOKey{section, tile, stage, v}
 	r, ok := rec.IO[k]
 	if !ok {

@@ -52,8 +52,8 @@ func (c *ctxEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distributi
 // Unwinding mid-search is safe by construction: the searcher-side state
 // is per-call (arenas, lightMemo tables) and simply abandoned, and the
 // shared Memo's pending protocol is panic-safe (waiters retry, the table
-// is never poisoned). The panic crosses no goroutine boundary — the check
-// runs on the searcher's goroutine, above any Pool fan-out.
+// is never poisoned). The panic crosses no goroutine boundary: searches
+// score every candidate on the searcher's goroutine.
 func SearchContext(ctx context.Context, s Searcher, ev Evaluator, total int) (res Result, err error) {
 	if ctx == nil {
 		return s.Search(ev, total), nil

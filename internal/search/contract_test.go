@@ -10,12 +10,57 @@ import (
 	"mheta/internal/program"
 )
 
-// contractParams is poolTestParams reshaped to the paper's two-section
+// testParams is a small but real n-node parameter set, so evaluator tests
+// run the actual model (including under -race).
+func testParams(n int) core.Params {
+	repeat := func(v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v * float64(i+1)
+		}
+		return out
+	}
+	mem := make([]int64, n)
+	disk := make([]core.DiskCal, n)
+	base := make([]int, n)
+	for i := 0; i < n; i++ {
+		mem[i] = int64(4000 * (i + 1))
+		disk[i] = core.DiskCal{ReadSeek: 0.01, WriteSeek: 0.02, IssueCost: 0.001}
+		base[i] = 10
+	}
+	return core.Params{
+		Program:     "search-test",
+		Nodes:       n,
+		Iterations:  3,
+		MemoryBytes: mem,
+		Disk:        disk,
+		Net: core.NetParams{
+			SendFixed: 0.001, RecvFixed: 0.002, WireFixed: 0.005,
+		},
+		BaseDist: base,
+		DistVars: []core.DistVar{{Name: "V", ElemBytes: 100}},
+		Sections: []core.SectionParams{{
+			Name:  "s0",
+			Tiles: 2,
+			Comm:  program.CommNone,
+			Stages: []core.StageParams{{
+				Name:           "st",
+				ComputePerElem: repeat(0.01),
+				StreamVar:      "V",
+				ElemBytes:      100,
+				ReadPerByte:    repeat(1e-5),
+				WritePerByte:   repeat(2e-5),
+			}},
+		}},
+	}
+}
+
+// contractParams is testParams reshaped to the paper's two-section
 // [nearest-neighbour, all-reduce] program, so the delta evaluator takes
 // its fused eight-rank kernel on all-active candidates and the generic
 // chain on candidates with an idle rank.
 func contractParams() core.Params {
-	p := poolTestParams(8)
+	p := testParams(8)
 	st := p.Sections[0].Stages
 	p.Sections = []core.SectionParams{
 		{Name: "nn", Tiles: 1, Comm: program.CommNearestNeighbor, MsgBytes: 512, Stages: st},
@@ -75,8 +120,6 @@ func TestEvaluatorContract(t *testing.T) {
 		}},
 		{"ModelEvaluator", func() Evaluator { return ModelEvaluator{Model: core.MustModel(contractParams())} }},
 		{"DeltaModelEvaluator", func() Evaluator { return delta() }},
-		{"Pool/1", func() Evaluator { e := delta(); return NewPool(e, 1, e.CloneEvaluator) }},
-		{"Pool/3", func() Evaluator { e := delta(); return NewPool(e, 3, e.CloneEvaluator) }},
 		{"Memo", func() Evaluator { return NewMemo(delta()) }},
 		{"lightMemo", func() Evaluator { return newLightMemo(delta()) }},
 		{"counter", func() Evaluator { return &counter{ev: delta()} }},

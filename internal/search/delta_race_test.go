@@ -9,21 +9,18 @@ import (
 	"mheta/internal/obs"
 )
 
-// TestDeltaConcurrentSharedMemo exercises the race surface of the
-// production parallel-search stack: one shared *Memo in front of a *Pool
-// whose workers each own a DeltaModelEvaluator clone (single-goroutine
-// replay columns over its own model clone), hammered by several goroutines
-// submitting overlapping batches. Under -race this proves the clones
-// share nothing mutable beyond the memo's synchronised table, the pool's
-// channels, the lock-free busy-term table and the atomic delta-path
-// counters — and the scores every goroutine observes must be
-// bit-identical to a serial full evaluation.
+// TestDeltaConcurrentSharedMemo exercises the race surface of
+// mheta-serve's evaluator stack: one shared *Memo in front of one
+// DeltaModelEvaluator (single-goroutine replay columns over its model),
+// hammered by several goroutines submitting overlapping batches. Under
+// -race this proves the memo's evalMu is the only thing standing between
+// the callers and the delta evaluator, and the scores every goroutine
+// observes must be bit-identical to a serial full evaluation.
 func TestDeltaConcurrentSharedMemo(t *testing.T) {
-	model := core.MustModel(poolTestParams(8))
+	model := core.MustModel(testParams(8))
 	dme := NewDeltaModelEvaluator(model)
 	dme.Observe(obs.New())
-	pool := NewPool(dme, 4, dme.CloneEvaluator)
-	memo := NewMemo(pool)
+	memo := NewMemo(dme)
 
 	// Overlapping candidate set: block-ish distributions of 400 elements
 	// over 8 nodes with deterministic perturbations, plus repeats so the
@@ -40,7 +37,7 @@ func TestDeltaConcurrentSharedMemo(t *testing.T) {
 
 	// Serial reference on an independent model: the ground truth every
 	// concurrent configuration must reproduce bit for bit.
-	ref := ModelEvaluator{Model: core.MustModel(poolTestParams(8))}
+	ref := ModelEvaluator{Model: core.MustModel(testParams(8))}
 	want := make([]float64, len(cands))
 	for i, d := range cands {
 		want[i] = ref.Model.PredictTotal(d)

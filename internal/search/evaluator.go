@@ -7,10 +7,10 @@ import (
 )
 
 // ModelEvaluator adapts a MHETA model to the Evaluator interface,
-// minimising total predicted execution time. It is the production
-// configuration: "A separate component of the runtime system uses MHETA
-// to evaluate all candidate distributions as part of a search algorithm"
-// (§1).
+// minimising total predicted execution time: "A separate component of
+// the runtime system uses MHETA to evaluate all candidate distributions
+// as part of a search algorithm" (§1). Like the Model it wraps, it is
+// single-goroutine; put it under a Memo to share it.
 type ModelEvaluator struct {
 	Model *core.Model
 }
@@ -23,15 +23,6 @@ func (m ModelEvaluator) EvaluateBatchFromInto(out []float64, _ dist.Distribution
 	}
 }
 
-// CloneEvaluator returns an evaluator over a clone of the model: a Model
-// reuses scratch across Predict calls and is not safe for concurrent use,
-// so NewPool takes this method as its clone function to give each worker
-// its own. Clones share the immutable parameters and produce
-// bit-identical predictions.
-func (m ModelEvaluator) CloneEvaluator() Evaluator {
-	return ModelEvaluator{Model: m.Model.Clone()}
-}
-
 // DeltaModelEvaluator adapts a model's incremental evaluator
 // (core.DeltaEvaluator) to the Evaluator interface. Scores are
 // bit-identical to ModelEvaluator — the delta cache affects only speed —
@@ -40,11 +31,8 @@ func (m ModelEvaluator) CloneEvaluator() Evaluator {
 // the batch's candidates share with it, so a batch's first candidates
 // find their terms already filled.
 //
-// Like the Model it wraps, a DeltaModelEvaluator is single-goroutine;
-// CloneEvaluator, passed to NewPool, gives each worker its own model
-// clone, which shares the master's busy-term table (core.Model.Clone),
-// while the observability counters stay shared so the registry sees
-// whole-search totals.
+// Like the Model it wraps, a DeltaModelEvaluator is single-goroutine; a
+// Memo over it serialises concurrent callers (mheta-serve's engines).
 type DeltaModelEvaluator struct {
 	de *core.DeltaEvaluator
 	// lastBase is a private copy of the base most recently warmed,
@@ -53,12 +41,8 @@ type DeltaModelEvaluator struct {
 	// distributions searches use, and exact).
 	lastBase dist.Distribution
 	haveBase bool
-	// Delta-path observability (nil when unobserved; see Observe). Shared
-	// across clones: obs.Counter is atomic.
-	//lint:shared atomic counters aggregate across pool worker clones by design
-	obsHit *obs.Counter
-	//lint:shared atomic counters aggregate across pool worker clones by design
-	obsFull *obs.Counter
+	// Delta-path observability (nil when unobserved; see Observe).
+	obsHit, obsFull *obs.Counter
 }
 
 // NewDeltaModelEvaluator builds a delta evaluator over model (using the
@@ -69,8 +53,7 @@ func NewDeltaModelEvaluator(model *core.Model) *DeltaModelEvaluator {
 
 // Observe registers the delta-path counters on r: search.delta.hit counts
 // candidates served by the cache-replay path, search.delta.full counts
-// fall-backs to full evaluation. Call before the pool clones workers so
-// the clones share them. A nil registry disables them.
+// fall-backs to full evaluation. A nil registry disables them.
 func (e *DeltaModelEvaluator) Observe(r *obs.Registry) {
 	if r == nil {
 		return
@@ -97,8 +80,8 @@ func (e *DeltaModelEvaluator) Evaluate(d dist.Distribution) float64 {
 	return v
 }
 
-// EvaluateBatchFromInto implements Evaluator serially (concurrency is the
-// Pool's job): the base primes the cache, then every candidate is scored
+// EvaluateBatchFromInto implements Evaluator: the base primes the cache,
+// then every candidate is scored
 // exactly as a nil base would score it. The delta-path counters are
 // accumulated locally and flushed once per batch rather than per
 // candidate.
@@ -137,18 +120,4 @@ func (e *DeltaModelEvaluator) warm(base dist.Distribution) {
 	e.lastBase = append(e.lastBase[:0], base...)
 	e.haveBase = true
 	e.de.Warm(base)
-}
-
-// CloneEvaluator is NewPool's clone function: each clone wraps its own
-// model clone — own replay columns and stats, the master's shared
-// busy-term table, bit-identical scores — and shares the atomic
-// observability counters.
-func (e *DeltaModelEvaluator) CloneEvaluator() Evaluator {
-	return &DeltaModelEvaluator{
-		de:       e.de.Model().Clone().Delta(),
-		lastBase: nil,
-		haveBase: false,
-		obsHit:   e.obsHit,
-		obsFull:  e.obsFull,
-	}
 }

@@ -21,10 +21,10 @@ import (
 // The legs narrow in lockstep — every round shrinks each active leg's
 // span by the same third, so all legs finish together — which lets one
 // batch carry both ternary probes of every leg (2·legs candidates), and a
-// final batch carry every leg's surviving scan points. With a *Pool
-// evaluator those batches score concurrently; candidate distributions are
-// generated with dist.LerpInto into per-leg scratch, and scores are
-// memoised (lightMemo), so the steady-state loop performs no allocations.
+// final batch carry every leg's surviving scan points. Candidate
+// distributions are generated with dist.LerpInto into per-leg scratch,
+// and scores are memoised (lightMemo), so the steady-state loop performs
+// no allocations.
 type GBS struct {
 	Spec cluster.Spec
 	// BytesPerElem is the combined per-element footprint of the

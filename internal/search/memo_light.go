@@ -14,9 +14,8 @@ import (
 // the pending protocol, and replaces Go maps with a linear-probing table
 // keyed by the full 64-bit dist.Distribution.Hash. On the GBS hot path
 // that removes every allocation and most of the per-key overhead the
-// concurrent Memo pays for its thread safety. The inner evaluator may
-// still be a *Pool: the fresh batch is forwarded whole, so batch
-// concurrency is unchanged.
+// concurrent Memo pays for its thread safety. The fresh batch is
+// forwarded to the inner evaluator whole, with the batch's ancestor.
 //
 // lightMemo carries no //mheta:guardedby or //mheta:atomic annotations
 // deliberately: every field is owned by the single searcher goroutine

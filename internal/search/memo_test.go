@@ -1,6 +1,7 @@
 package search
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,57 @@ func TestMemoConcurrentSharedUse(t *testing.T) {
 	}
 }
 
+// overlapDetector is an inner evaluator that records whether two calls
+// into it ever overlap. It yields inside each call so that, without
+// serialisation, a second caller gets the chance to enter.
+type overlapDetector struct {
+	busy     atomic.Bool
+	overlaps atomic.Int64
+}
+
+func (o *overlapDetector) EvaluateBatchFromInto(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	if !o.busy.CompareAndSwap(false, true) {
+		o.overlaps.Add(1)
+		return
+	}
+	for i, d := range ds {
+		runtime.Gosched()
+		out[i] = float64(d.Total())
+	}
+	o.busy.Store(false)
+}
+
+// TestMemoSerialisesInner pins the Memo's evalMu contract: concurrent
+// callers whose keys all miss never enter the inner evaluator at the
+// same time, so a single-goroutine evaluator can sit under a shared Memo.
+func TestMemoSerialisesInner(t *testing.T) {
+	inner := &overlapDetector{}
+	m := NewMemo(inner)
+	const goroutines, keys, batch = 4, 200, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ds := make([]dist.Distribution, batch)
+			out := make([]float64, batch)
+			for k := 0; k < keys; k += batch {
+				for i := range ds {
+					ds[i] = dist.Distribution{g, k + i}
+				}
+				m.EvaluateBatchInto(out, ds)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := inner.overlaps.Load(); n != 0 {
+		t.Fatalf("%d calls entered the inner evaluator while another was running", n)
+	}
+	if m.Evaluations() != goroutines*keys {
+		t.Fatalf("evaluations %d, want %d distinct keys", m.Evaluations(), goroutines*keys)
+	}
+}
+
 // TestMemoEvictionLimit covers the epoch eviction and its counter.
 func TestMemoEvictionLimit(t *testing.T) {
 	var calls atomic.Int64
@@ -285,36 +337,54 @@ func TestMemoObserveCounters(t *testing.T) {
 	}
 }
 
-// TestPoolObserveWorkerShares checks the per-worker utilization counters
-// follow the deterministic i%workers stride.
-func TestPoolObserveWorkerShares(t *testing.T) {
-	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	p := NewPool(ev, 3, nil)
-	reg := obs.New()
-	p.Observe(reg)
-	ds := make([]dist.Distribution, 10)
-	for i := range ds {
-		ds[i] = dist.Distribution{i}
+func TestMemoDedup(t *testing.T) {
+	var calls atomic.Int64
+	m := NewMemo(EvaluatorFunc(func(d dist.Distribution) float64 {
+		calls.Add(1)
+		return float64(d.Total())
+	}))
+	d1 := dist.Distribution{3, 5}
+	d2 := dist.Distribution{4, 4}
+	batch := []dist.Distribution{d1, d2, d1.Clone()} // in-batch duplicate
+	out := make([]float64, len(batch))
+	m.EvaluateBatchInto(out, batch)
+	if out[0] != 8 || out[1] != 8 || out[2] != 8 {
+		t.Fatalf("out %v", out)
 	}
-	p.EvaluateBatchFromInto(make([]float64, 10), nil, ds)
-	evalOne(p, ds[0]) // a batch of one, scored inline on worker 0
-	if got := reg.Counter("search.pool.evaluations").Value(); got != 11 {
-		t.Fatalf("evaluations %d, want 11", got)
+	if calls.Load() != 2 || m.Evaluations() != 2 {
+		t.Fatalf("calls %d, evaluations %d, want 2", calls.Load(), m.Evaluations())
 	}
-	if got := reg.Counter("search.pool.batches").Value(); got != 2 {
-		t.Fatalf("batches %d, want 2", got)
+	m.EvaluateBatchInto(out, batch) // fully memoised
+	if got := evalOne(m, d2); got != 8 {
+		t.Fatalf("single hit %v", got)
 	}
-	// 10 elements over 3 workers: strides of 4 (0,3,6,9), 3, 3; worker 0
-	// also took the batch of one.
-	for i, want := range []int64{5, 3, 3} {
-		if got := reg.Counter(poolWorkerName(i)).Value(); got != want {
-			t.Fatalf("worker %d evals %d, want %d", i, got, want)
-		}
+	if calls.Load() != 2 || m.Evaluations() != 2 || m.Len() != 2 {
+		t.Fatalf("after hits: calls %d, evaluations %d, len %d", calls.Load(), m.Evaluations(), m.Len())
+	}
+	if got := evalOne(m, dist.Distribution{8, 0}); got != 8 || m.Evaluations() != 3 {
+		t.Fatalf("single miss %v, evaluations %d", got, m.Evaluations())
 	}
 }
 
-func poolWorkerName(i int) string {
-	return []string{"search.pool.worker.00.evals", "search.pool.worker.01.evals", "search.pool.worker.02.evals"}[i]
+// TestMemoisedBatchZeroAlloc pins the acceptance criterion: once a batch
+// is memoised, re-evaluating it performs zero allocations.
+func TestMemoisedBatchZeroAlloc(t *testing.T) {
+	m := NewMemo(EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d.Total()) }))
+	ds := []dist.Distribution{{1, 2, 3}, {2, 2, 2}, {0, 3, 3}, {6, 0, 0}}
+	out := make([]float64, len(ds))
+	m.EvaluateBatchInto(out, ds) // warm
+	allocs := testing.AllocsPerRun(200, func() {
+		m.EvaluateBatchInto(out, ds)
+	})
+	if allocs != 0 {
+		t.Fatalf("memoised batch allocates %v/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		m.EvaluateBatchInto(out[:1], ds[:1]) // a batch of one
+	})
+	if allocs != 0 {
+		t.Fatalf("memoised batch of one allocates %v/op, want 0", allocs)
+	}
 }
 
 // TestSearcherConvergenceSeries asserts every searcher emits a

@@ -38,9 +38,8 @@ type Evaluator interface {
 	EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution)
 }
 
-// EvaluatorFunc adapts a pure scoring function to the Evaluator
-// interface; the base is ignored. Being pure, it is safe to share across
-// pool workers.
+// EvaluatorFunc adapts a scoring function to the Evaluator interface; the
+// base is ignored.
 type EvaluatorFunc func(d dist.Distribution) float64
 
 // EvaluateBatchFromInto implements Evaluator.
@@ -64,12 +63,12 @@ func (r Result) String() string {
 }
 
 // Searcher is one distribution-selection algorithm. Every searcher emits
-// its candidates in batches, so passing a *Pool as the Evaluator spreads
-// the model evaluations across workers; results (Best, Time, Evaluations)
-// are bit-identical for any worker count, including a plain serial
-// Evaluator. Evaluation counts are tracked atomically — they measure how
-// many model evaluations the search spent, since evaluation cost (≈5.4 ms
-// in the paper) bounds how elaborate a runtime search can be.
+// its candidates in batches, each naming its ancestor, and scores them on
+// the caller's goroutine; results (Best, Time, Evaluations) are a
+// function of the evaluator's scores and the seed alone. Evaluations
+// measures how many model evaluations the search spent, since evaluation
+// cost (≈5.4 ms in the paper) bounds how elaborate a runtime search can
+// be.
 type Searcher interface {
 	// Search returns the best distribution found for total elements.
 	Search(ev Evaluator, total int) Result

@@ -9,11 +9,27 @@ import (
 	"mheta/internal/vclock"
 )
 
+// counter wraps an Evaluator with an evaluation count. The stochastic
+// searchers count every candidate (they do not memoise, preserving the
+// serial algorithms' Evaluations exactly); GBS counts through lightMemo
+// instead.
+type counter struct {
+	ev Evaluator
+	n  int
+}
+
+// EvaluateBatchFromInto implements Evaluator.
+func (c *counter) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
+	c.n += len(ds)
+	c.ev.EvaluateBatchFromInto(out, base, ds)
+}
+
+func (c *counter) count() int { return c.n }
+
 // Random samples Budget random GEN_BLOCK distributions (plus the Blk
 // baseline) and keeps the best — the companion paper's control algorithm.
-// The budget is evaluated in chunks: candidates are drawn serially from
-// the seeded noise stream (so the sample set is identical for any worker
-// count), then each chunk is scored in one batch.
+// The budget is evaluated in chunks: candidates are drawn from the seeded
+// noise stream, then each chunk is scored in one batch.
 type Random struct {
 	N      int // node count to distribute over
 	Budget int
@@ -219,7 +235,7 @@ func mutate(nz *vclock.Noise, d dist.Distribution, total int) {
 // Annealing is simulated annealing with an element-migration neighbour
 // move and geometric cooling. With Fan > 1 each step drafts a fan of
 // speculative neighbours from the current state, scores them in one batch
-// (concurrently on a *Pool), and feeds the best to the usual
+// against the current state as ancestor, and feeds the best to the usual
 // accept/reject rule; Fan 1 reproduces the classic single-neighbour
 // chain exactly.
 type Annealing struct {

@@ -83,14 +83,14 @@ func (e *engine) build(s *Server) {
 	e.blk = dist.Block(e.app.Prog.GlobalElems(), e.spec.N())
 	e.detail = model.Clone()
 
-	// Same evaluator stack as a CLI search — delta evaluator under the
-	// memo — except the memo here is long-lived and shared across
-	// requests, so the epoch-eviction limit bounds its footprint. The
-	// one-worker pool serialises the single-goroutine delta evaluator
-	// for the memo's concurrent callers; memo hits never reach it.
+	// Same delta evaluator as a CLI search, under a memo that is
+	// long-lived and shared across requests, so the epoch-eviction limit
+	// bounds its footprint. The memo serialises its concurrent callers'
+	// misses on the single-goroutine delta evaluator; hits never reach
+	// it.
 	dme := search.NewDeltaModelEvaluator(model.Clone())
 	dme.Observe(s.reg)
-	memo := search.NewMemo(search.NewPool(dme, 1, nil))
+	memo := search.NewMemo(dme)
 	memo.Observe(s.reg)
 	memo.SetLimit(s.cfg.MemoLimit)
 	e.memo = memo

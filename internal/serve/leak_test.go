@@ -79,11 +79,9 @@ func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 	}
 }
 
-// TestSearchWorkersBounded pins the client-controlled pool size: a huge
-// workers value is clamped to GOMAXPROCS (it would otherwise clone one
-// model per requested worker) and returns exactly the workers=1 bits,
-// the pool's goroutines exit with the request, and a negative value is
-// rejected with 400.
+// TestSearchWorkersBounded pins the deprecated, ignored workers field: a
+// huge value returns exactly the workers=1 bits and starts no goroutine
+// that outlives the request, and a negative value is rejected with 400.
 func TestSearchWorkersBounded(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)

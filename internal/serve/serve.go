@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,10 +386,12 @@ type SearchRequest struct {
 	scenarioWire
 	// Alg is the algorithm: gbs (default), genetic, annealing, random.
 	Alg string `json:"alg,omitempty"`
-	// Workers is the evaluation-pool size for this search; 1 (and 0)
-	// evaluate inline, values above GOMAXPROCS are clamped to it and
-	// negative values are rejected. Results are bit-identical for any
-	// accepted value.
+	// Workers is ignored apart from its sign: a negative value is
+	// rejected with 400, and every accepted value scores the search on
+	// the handler's goroutine.
+	//
+	// Deprecated: ignored. The field stays only while the benchmark
+	// module still sends it; the next change to that module deletes it.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the server's default request deadline; a
 	// search still running at the deadline is aborted (504).
@@ -435,10 +436,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("workers %d < 0", req.Workers))
 		return
 	}
-	// The pool clones one model per worker, so the client's value is
-	// bounded by the cores that could run them; pool results are
-	// bit-identical across worker counts, so clamping changes only speed.
-	workers := min(max(req.Workers, 1), runtime.GOMAXPROCS(0))
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 
@@ -469,14 +466,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Blk baseline prediction, then the search — so every returned value
 	// is bit-identical to mheta-search on the same scenario. Cloning the
 	// never-evaluated master is safe concurrently (pure reads); the clone
-	// and its pool workers replay the engine's shared busy-term table.
+	// replays the engine's shared busy-term table.
 	model := e.master.Clone()
 	blkPred := model.Predict(e.blk).Total
 	if s.testHookSearchStarted != nil {
 		s.testHookSearchStarted(ctx)
 	}
 	res, err := mheta.SearchWithOptions(alg, e.spec, e.app, model, scen.Seed,
-		mheta.SearchOptions{Workers: workers, Context: ctx})
+		mheta.SearchOptions{Context: ctx})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.mSearchCanceled.Inc()

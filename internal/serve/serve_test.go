@@ -293,7 +293,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestSearchMatchesDirect pins /search against the exact CLI call chain
 // (mheta.SearchWithOptions on a fresh instrument) for every algorithm,
-// and demands worker count not change a single bit.
+// and demands the ignored workers field not change a single bit.
 func TestSearchMatchesDirect(t *testing.T) {
 	model, app, spec := refModel(t)
 	srv := New(Config{})
@@ -303,7 +303,7 @@ func TestSearchMatchesDirect(t *testing.T) {
 	blk := mheta.BlockDistribution(app, spec)
 	blkPred := model.Clone().Predict(blk).Total
 	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic, mheta.AlgAnnealing, mheta.AlgRandom} {
-		want, err := mheta.SearchWithOptions(alg, spec, app, model.Clone(), 42, mheta.SearchOptions{Workers: 1})
+		want, err := mheta.SearchWithOptions(alg, spec, app, model.Clone(), 42, mheta.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

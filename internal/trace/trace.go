@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"mheta/internal/mpi"
 	"mheta/internal/vclock"
@@ -68,11 +67,11 @@ func (s Span) PeerRank() int { return s.Peer - 1 }
 // Duration returns the span's length.
 func (s Span) Duration() vclock.Duration { return vclock.Duration(s.End - s.Start) }
 
-// Trace accumulates spans from all ranks of a run. Safe for concurrent
-// append (ranks run as goroutines).
+// Trace accumulates spans from all ranks of a run. It is unlocked: the
+// world's one driver goroutine appends every rank's spans, and readers
+// look at the trace after the run.
 type Trace struct {
-	mu    sync.Mutex
-	spans []Span //mheta:guardedby mu
+	spans []Span
 }
 
 // New returns an empty trace.
@@ -80,15 +79,11 @@ func New() *Trace { return &Trace{} }
 
 // Add appends a span.
 func (t *Trace) Add(s Span) {
-	t.mu.Lock()
 	t.spans = append(t.spans, s)
-	t.mu.Unlock()
 }
 
 // Spans returns all spans sorted by (rank, start time).
 func (t *Trace) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := append([]Span(nil), t.spans...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rank != out[j].Rank {

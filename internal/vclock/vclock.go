@@ -23,7 +23,7 @@ type Time float64 //mheta:units seconds
 type Duration float64 //mheta:units seconds
 
 // Clock is a single rank's virtual clock. It is not safe for concurrent
-// use; each rank goroutine owns exactly one Clock.
+// use; each rank owns exactly one Clock.
 type Clock struct {
 	now Time
 }

@@ -150,20 +150,9 @@ const (
 )
 
 // SearchWith runs the named algorithm ("gbs", "genetic", "annealing",
-// "random") with default parameters on a single worker.
+// "random") with default parameters.
 func SearchWith(alg string, spec ClusterSpec, app *App, model *Model, seed uint64) (SearchResult, error) {
-	return SearchWithWorkers(alg, spec, app, model, seed, 1)
-}
-
-// SearchWithWorkers is SearchWith evaluating candidates on a pool of
-// workers, each owning its own clone of the model (workers <= 0 selects
-// GOMAXPROCS). Results — Best, Time and Evaluations — are bit-identical
-// for any worker count; parallelism only changes wall-clock time.
-func SearchWithWorkers(alg string, spec ClusterSpec, app *App, model *Model, seed uint64, workers int) (SearchResult, error) {
-	if workers == 0 {
-		workers = -1 // SearchOptions spells "all cores" as negative; 0 is inline
-	}
-	return SearchWithOptions(alg, spec, app, model, seed, SearchOptions{Workers: workers})
+	return SearchWithOptions(alg, spec, app, model, seed, SearchOptions{})
 }
 
 // Metrics is an observability registry (see internal/obs): counters,
@@ -177,13 +166,16 @@ func NewMetrics() *Metrics { return obs.New() }
 
 // SearchOptions configures SearchWithOptions beyond the algorithm name.
 type SearchOptions struct {
-	// Workers is the evaluation-pool size; 1 (and 0) evaluate inline,
-	// negative selects GOMAXPROCS. The search outcome is bit-identical
-	// for any value — metrics and parallelism are observation only.
+	// Workers is ignored: every search scores its candidates on one
+	// evaluator, on the caller's goroutine.
+	//
+	// Deprecated: ignored. The field stays only while the benchmark
+	// module still sets it; the next change to that module deletes it.
 	Workers int
 	// Metrics, when non-nil, receives the memo hit/miss counters, the
-	// pool utilization counters and the per-algorithm convergence series
-	// ("search.<alg>.best").
+	// delta-path counters and the per-algorithm convergence series
+	// ("search.<alg>.best"). Observation only: the result is
+	// bit-identical with or without it.
 	Metrics *Metrics
 	// Context, when non-nil, bounds the search: once it is done the
 	// search aborts at the next evaluation batch and SearchWithOptions
@@ -195,21 +187,14 @@ type SearchOptions struct {
 }
 
 // SearchWithOptions runs the named algorithm ("gbs", "genetic",
-// "annealing", "random") with the given evaluation-pool size, optional
-// metrics registry and optional cancellation context.
+// "annealing", "random") with an optional metrics registry and an
+// optional cancellation context.
 func SearchWithOptions(alg string, spec ClusterSpec, app *App, model *Model, seed uint64, opts SearchOptions) (SearchResult, error) {
 	// The delta evaluator replays cached per-width busy terms, scoring
 	// bit-identically to ModelEvaluator but several times faster on the
-	// near-neighbour candidates searches emit. Observe before NewPool so
-	// worker clones share the delta-path counters.
+	// near-neighbour candidates searches emit.
 	dme := search.NewDeltaModelEvaluator(model)
 	dme.Observe(opts.Metrics)
-	var ev search.Evaluator = dme
-	if opts.Workers != 1 && opts.Workers != 0 {
-		pool := search.NewPool(dme, opts.Workers, dme.CloneEvaluator)
-		pool.Observe(opts.Metrics)
-		ev = pool
-	}
 	total := app.Prog.GlobalElems()
 	var s search.Searcher
 	switch alg {
@@ -228,5 +213,5 @@ func SearchWithOptions(alg string, spec ClusterSpec, app *App, model *Model, see
 	default:
 		return SearchResult{}, fmt.Errorf("mheta: unknown search algorithm %q", alg)
 	}
-	return search.SearchContext(opts.Context, s, ev, total)
+	return search.SearchContext(opts.Context, s, dme, total)
 }
