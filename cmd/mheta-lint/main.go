@@ -1,17 +1,15 @@
-// mheta-lint machine-checks the repo's determinism, clone-safety, and
-// concurrency contracts (DESIGN.md §5.9, §5.11, §5.14) with a suite of
-// custom static analyzers:
+// mheta-lint machine-checks the repo's determinism, clone-safety,
+// dimensional and concurrency contracts (DESIGN.md §5.9, §5.11, §5.14,
+// §5.16) with a suite of custom static analyzers:
 //
 //	maporder        order-sensitive accumulation in range-over-map
 //	clonesafe       Clone methods must account for every mutable field
 //	nondeterminism  wall clocks / global randomness in deterministic code
 //	floatreduce     completion-order merging of parallel float results
 //	units           dimensional consistency of the model's equations
-//	guarded         //mheta:guardedby, //mheta:atomic and //mheta:locks
-//	                discipline via lockset dataflow + lock ordering
-//	leakcheck       goroutine termination paths, channel-send
-//	                discipline, and context propagation in the
-//	                serving stack
+//	guarded         //mheta:guardedby fields and //mheta:locks requires
+//	                contracts via lockset dataflow
+//	leakcheck       every goroutine has a termination path
 //
 // It runs standalone over package patterns:
 //

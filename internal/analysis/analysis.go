@@ -1,7 +1,8 @@
 // Package analysis assembles the mheta-lint suite: the custom analyzers
 // that machine-check this repo's determinism, clone-safety, dimensional,
-// and concurrency contracts (DESIGN.md §5.7/§5.9/§5.11/§5.14).
-// cmd/mheta-lint runs them standalone or as a `go vet -vettool`.
+// lock-discipline and goroutine-termination contracts (DESIGN.md
+// §5.7/§5.9/§5.11/§5.14/§5.16). cmd/mheta-lint runs them standalone or
+// as a `go vet -vettool`.
 package analysis
 
 import (

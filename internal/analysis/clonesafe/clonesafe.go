@@ -1,13 +1,13 @@
 // Package clonesafe defines an analyzer that machine-checks the clone
-// contract: a Clone/CloneEvaluator method must account for every mutable
-// field of its receiver type.
+// contract: a Clone method must account for every mutable field of its
+// receiver type.
 //
-// Search pools clone one evaluator (and model) per worker and rely on
-// the clones being independent except for deliberately shared immutable
-// state (DESIGN.md §5.7). That contract silently breaks when a struct
-// grows a field its Clone forgets, or shallow-copies a buffer two
-// goroutines then scribble over. For every type with a Clone or
-// CloneEvaluator method the analyzer classifies each field: immutable
+// The server clones one pristine model per search and per engine
+// evaluator and relies on the clones being independent except for
+// deliberately shared immutable state (DESIGN.md §5.7). That contract
+// silently breaks when a struct grows a field its Clone forgets, or
+// shallow-copies a buffer two goroutines then scribble over. For every
+// type with a Clone method the analyzer classifies each field: immutable
 // values (numbers, strings, bools, pure-value structs) need nothing;
 // mutable fields (slices, maps, pointers, chans, interfaces, or structs
 // containing them) must either be rebuilt in the method body (fresh
@@ -30,7 +30,7 @@ import (
 // mutable field.
 var Analyzer = &lintkit.Analyzer{
 	Name: "clonesafe",
-	Doc: "verify Clone/CloneEvaluator methods account for every mutable field\n\n" +
+	Doc: "verify Clone methods account for every mutable field\n\n" +
 		"Each slice/map/pointer/chan/interface field (or struct containing one) must be\n" +
 		"deep-copied in the method body or carry a //lint:shared <reason> marker on its\n" +
 		"declaration documenting immutable sharing; forgetting a newly added field is an error.",
@@ -44,7 +44,7 @@ func run(pass *lintkit.Pass) (any, error) {
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			if fd.Name.Name != "Clone" && fd.Name.Name != "CloneEvaluator" {
+			if fd.Name.Name != "Clone" {
 				continue
 			}
 			checkMethod(pass, fd)

@@ -49,16 +49,6 @@ type ValueOnly struct {
 
 func (v ValueOnly) Clone() ValueOnly { return v }
 
-// Evaluator mirrors search.ModelEvaluator: the pointer field is rebuilt
-// through the pointee's own Clone.
-type Evaluator struct {
-	d *Deep
-}
-
-func (e Evaluator) CloneEvaluator() Evaluator {
-	return Evaluator{d: e.d.Clone()}
-}
-
 // CopyInto rebuilds with make plus the copy builtin.
 type CopyInto struct {
 	data []float64

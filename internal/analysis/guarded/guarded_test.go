@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,7 +13,7 @@ import (
 )
 
 func TestFixtures(t *testing.T) {
-	linttest.Run(t, "testdata", guarded.Analyzer, "guarded_bad", "guarded_good", "guarded_order")
+	linttest.Run(t, "testdata", guarded.Analyzer, "guarded_bad", "guarded_good")
 }
 
 // checkSource runs the guarded analyzer over a single in-memory file,
@@ -82,7 +80,8 @@ func (s *S) Get() int {
 	}
 }
 
-// Directive validation: strays, bad lock names, bad types.
+// Directive validation: strays, bad lock names, a bad contract form,
+// and a retired annotation name.
 func TestDirectiveValidation(t *testing.T) {
 	findings := checkSource(t, `package p
 
@@ -94,17 +93,21 @@ var loose int
 type S struct {
 	mu sync.Mutex
 	a  int //mheta:guardedby nosuch
-	b  []int //mheta:atomic
+	b  int //mheta:atomic
 }
 
 //mheta:locks holds mu
 func (s *S) f() {}
+
+//mheta:locks requires nosuch
+func (s *S) g() {}
 `, "sync")
 	wants := []string{
 		"must sit on a struct field",
 		"names no mutex field \"nosuch\"",
-		"which sync/atomic cannot access",
-		"verb must be requires, acquires, or releases",
+		"unknown //mheta:atomic directive (this suite defines //mheta:guardedby, //mheta:lifecycle, //mheta:locks, //mheta:units)",
+		"//mheta:locks must read `requires <lock>...` (got \"holds mu\")",
+		"names unknown lock \"nosuch\"",
 	}
 	for _, w := range wants {
 		found := false
@@ -120,78 +123,5 @@ func (s *S) f() {}
 	}
 	if len(findings) != len(wants) {
 		t.Errorf("findings = %v, want exactly %d", findings, len(wants))
-	}
-}
-
-// Guard specs and locking contracts cross package boundaries through
-// the external.go mirror: package b below never sees package a's
-// source annotations, only the mirror entries registered here.
-func TestExternalMirror(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module tmpmod\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "a", "a.go"), `package a
-
-import "sync"
-
-type S struct {
-	Mu sync.Mutex
-	N  int
-}
-
-func (s *S) SetLocked(v int) { s.N = v }
-`)
-	writeFile(t, filepath.Join(dir, "b", "b.go"), `package b
-
-import "tmpmod/a"
-
-func Bad(s *a.S) int { return s.N }
-
-func BadCall(s *a.S) { s.SetLocked(1) }
-
-func Good(s *a.S) int {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	s.SetLocked(2)
-	return s.N
-}
-`)
-	guarded.ExternalFields["tmpmod/a.S.N"] = "Mu"
-	guarded.ExternalFuncs["(*tmpmod/a.S).SetLocked"] = guarded.Contract{Requires: []string{"Mu"}}
-	defer func() {
-		delete(guarded.ExternalFields, "tmpmod/a.S.N")
-		delete(guarded.ExternalFuncs, "(*tmpmod/a.S).SetLocked")
-	}()
-
-	pkgs, err := lintkit.Load(dir, "./...")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	findings, err := lintkit.Run([]*lintkit.Analyzer{guarded.Analyzer}, pkgs)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(findings) != 2 {
-		t.Fatalf("findings = %v, want exactly the two violations in b", findings)
-	}
-	if !strings.Contains(findings[0].Message, "read of s.N requires holding s.Mu") {
-		t.Errorf("finding[0] = %v, want unguarded read via ExternalFields", findings[0])
-	}
-	if !strings.Contains(findings[1].Message, "call to SetLocked requires holding s.Mu") {
-		t.Errorf("finding[1] = %v, want contract violation via ExternalFuncs", findings[1])
-	}
-	for _, f := range findings {
-		if filepath.Base(f.Pos.Filename) != "b.go" {
-			t.Errorf("finding in %s, want all findings in b.go", f.Pos.Filename)
-		}
-	}
-}
-
-func writeFile(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -17,10 +17,6 @@ import (
 type held struct {
 	root types.Object
 	path string
-	// typeKey is the type-qualified name — "(pkg.T).mu" or "pkg.mu" —
-	// used by the acquisition-order graph, where instances of one
-	// declared lock are deliberately conflated.
-	typeKey string
 	// write distinguishes Lock from RLock.
 	write bool
 	// deferred marks a pending `defer mu.Unlock()`: the lock is still
@@ -57,7 +53,11 @@ type lockSet struct {
 	locks []held
 }
 
+// find looks a lock up by identity; the nil set holds nothing.
 func (s *lockSet) find(root types.Object, path string) (held, bool) {
+	if s == nil {
+		return held{}, false
+	}
 	for _, l := range s.locks {
 		if l.root == root && l.path == path {
 			return l, true
@@ -88,8 +88,6 @@ func (c *checker) intern(locks []held) *lockSet {
 	c.sets[key] = s
 	return s
 }
-
-func (c *checker) emptySet() *lockSet { return c.intern(nil) }
 
 // withLock returns s plus l (replacing an existing same-identity lock).
 func (c *checker) withLock(s *lockSet, l held) *lockSet {

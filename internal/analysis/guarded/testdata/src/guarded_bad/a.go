@@ -1,11 +1,8 @@
-// Package guarded_bad holds deliberate concurrency-contract violations
-// the guarded analyzer must report.
+// Package guarded_bad holds deliberate lock-discipline violations the
+// guarded analyzer must report.
 package guarded_bad
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 type Counter struct {
 	mu sync.Mutex
@@ -28,7 +25,8 @@ func (c *Counter) HalfLocked() int {
 	return v + c.n // want `read of c.n requires holding c.mu`
 }
 
-// The declared contract must be honored by callers.
+// The declared contract must be honored by callers, and a goroutine
+// spawned on it holds nothing.
 //
 //mheta:locks requires mu
 func (c *Counter) setLocked(v int) {
@@ -39,14 +37,28 @@ func (c *Counter) Careless(v int) {
 	c.setLocked(v) // want `call to setLocked requires holding c.mu`
 }
 
-// bumpLocked declares nothing; its requirement is inferred bottom-up
-// from the guarded access in its body.
-func (c *Counter) bumpLocked() {
-	c.n++
+func (c *Counter) Async(v int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	go c.setLocked(v) // want `go setLocked: a new goroutine holds none of its spawner's locks, but setLocked requires mu`
 }
 
-func (c *Counter) Loose() {
-	c.bumpLocked() // want `call to bumpLocked requires holding c.mu`
+// An undeclared helper gets no contract: its own access is the finding.
+func (c *Counter) bumpLocked() {
+	c.n++ // want `read of c.n requires holding c.mu`
+}
+
+// A literal spawned while the lock is held runs on another goroutine,
+// which does not hold it.
+func (c *Counter) Fan() {
+	c.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		c.n++ // want `read of c.n requires holding c.mu`
+		close(done)
+	}()
+	<-done
+	c.mu.Unlock()
 }
 
 // A guarded field used as a method receiver is a read of the field.
@@ -63,6 +75,13 @@ func (c *Counter) Oops() {
 	c.mu.Unlock() // want `unlock of c.mu, which is not held here`
 }
 
+// Re-locking the same instance is an immediate self-deadlock.
+func (c *Counter) Double() {
+	c.mu.Lock()
+	c.mu.Lock() // want `acquired while already held`
+	c.mu.Unlock()
+}
+
 type Table struct {
 	mu sync.RWMutex
 	m  map[string]int //mheta:guardedby mu
@@ -75,20 +94,19 @@ func (t *Table) Put(k string, v int) {
 	t.m[k] = v // want `write to t.m requires t.mu held for writing`
 }
 
-type Stats struct {
-	hits  int64 //mheta:atomic
-	mixed int64
+//mheta:locks requires mu
+func (t *Table) putLocked(k string, v int) {
+	t.m[k] = v
 }
 
-func (s *Stats) Touch() {
-	atomic.AddInt64(&s.hits, 1)
-	s.hits = 3 // want `plain write of s.hits, which is //mheta:atomic`
+// Nor does it satisfy a requires contract.
+func (t *Table) PutShared(k string, v int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.putLocked(k, v) // want `call to putLocked requires t.mu held for writing, but only a read lock is held`
 }
 
-func (s *Stats) A() {
-	atomic.AddInt64(&s.mixed, 1)
-}
-
-func (s *Stats) B() {
-	s.mixed = 2 // want `field mixed mixes sync/atomic and plain access`
+//mheta:locks acquires mu // want `locks must read .requires <lock>...`
+func (t *Table) lock() {
+	t.mu.Lock()
 }

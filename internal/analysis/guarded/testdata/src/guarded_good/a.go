@@ -1,18 +1,14 @@
 // Package guarded_good exercises patterns the guarded analyzer must
-// accept silently: plain lock/unlock, defer-unlock, RLock reads,
-// fork-join under a held lock, fresh constructors, inferred and
+// accept silently: plain lock/unlock, defer-unlock, RLock reads, a
+// spawned literal that takes the lock itself, fresh constructors,
 // declared //mheta:locks contracts, and reasoned suppressions.
 package guarded_good
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 type Counter struct {
-	mu   sync.Mutex
-	n    int          //mheta:guardedby mu
-	hits atomic.Int64 //mheta:atomic
+	mu sync.Mutex
+	n  int //mheta:guardedby mu
 }
 
 func (c *Counter) Bump() {
@@ -24,7 +20,6 @@ func (c *Counter) Bump() {
 func (c *Counter) Get() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hits.Add(1)
 	return c.n
 }
 
@@ -42,17 +37,17 @@ func (c *Counter) GetOrInit() int {
 	return v
 }
 
-// A literal spawned while the lock is held inherits it: the parent
-// blocks on the channel before unlocking (fork-join under lock).
+// A spawned literal starts with no locks, so it takes its own; the
+// spawner's lock is not held on the goroutine.
 func (c *Counter) Fan() {
-	c.mu.Lock()
 	done := make(chan struct{})
 	go func() {
+		c.mu.Lock()
 		c.n++
+		c.mu.Unlock()
 		close(done)
 	}()
 	<-done
-	c.mu.Unlock()
 }
 
 // A reasoned suppression is honored.
@@ -92,7 +87,9 @@ func (t *Table) Put(k string, v int) {
 	t.m[k] = v
 }
 
-// putLocked's requirement is inferred bottom-up; locked callers pass.
+// putLocked is analyzed with mu held; every caller must hold it.
+//
+//mheta:locks requires mu
 func (t *Table) putLocked(k string, v int) {
 	t.m[k] = v
 }
@@ -104,34 +101,9 @@ func (t *Table) PutTwo(k1, k2 string, v int) {
 	t.putLocked(k2, v)
 }
 
-// The declared form of the same contract, at an exported boundary.
-//
-//mheta:locks requires mu
-func (t *Table) PutPrelocked(k string, v int) {
-	t.m[k] = v
-}
-
 func (t *Table) Replace(k string, v int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.m, k)
-	t.PutPrelocked(k, v)
-}
-
-// lock's net acquisition is inferred; unlock declares what inference
-// cannot see (that its caller holds the lock it releases).
-func (t *Table) lock() {
-	t.mu.Lock()
-}
-
-//mheta:locks requires mu
-//mheta:locks releases mu
-func (t *Table) unlock() {
-	t.mu.Unlock()
-}
-
-func (t *Table) reset() {
-	t.lock()
-	t.m = map[string]int{}
-	t.unlock()
+	t.putLocked(k, v)
 }

@@ -46,38 +46,6 @@ func checkSource(t *testing.T, filename, src string, imports ...string) []lintki
 	return findings
 }
 
-// Blocking contracts cross package boundaries through the external.go
-// mirror: a context-carrying caller of a mirrored function must consult
-// its context, and the same code is clean once the entry is gone.
-func TestExternalBlockingMirror(t *testing.T) {
-	const src = `package p
-
-import (
-	"context"
-	"time"
-)
-
-func Nap(ctx context.Context) {
-	time.Sleep(time.Hour)
-}
-`
-	leakcheck.ExternalBlocking["time.Sleep"] = "sleeps for the full duration"
-	findings := checkSource(t, "p.go", src, "context", "time")
-	delete(leakcheck.ExternalBlocking, "time.Sleep")
-
-	if len(findings) != 1 {
-		t.Fatalf("findings with mirror entry = %v, want exactly one never-consulted finding", findings)
-	}
-	if !strings.Contains(findings[0].Message, "ctx is never consulted") ||
-		!strings.Contains(findings[0].Message, "declared blocking in external.go") {
-		t.Errorf("finding = %v, want a never-consulted finding citing the mirror", findings[0])
-	}
-
-	if after := checkSource(t, "p.go", src, "context", "time"); len(after) != 0 {
-		t.Errorf("findings without mirror entry = %v, want none", after)
-	}
-}
-
 // Test files are out of scope: goroutines spawned under the test runner
 // die with the process, so the same leak shape in a _test.go file must
 // not fire.

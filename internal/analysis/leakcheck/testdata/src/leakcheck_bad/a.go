@@ -1,16 +1,9 @@
 // Package leakcheck_bad plants one violation per leakcheck rule:
 // unterminated goroutines (bare loop, unclosed-channel range, via the
-// callgraph), broken lifecycle annotations, undisciplined channel sends
-// (unbuffered without select, shared buffered queue, buffered fill in a
-// loop, select with no escape arm), and dropped or unconsulted contexts.
+// callgraph) and broken or unsupported lifecycle annotations.
 package leakcheck_bad
 
-import (
-	"context"
-	"sync"
-)
-
-// ---- goroutine lifecycle ----
+import "sync"
 
 func spinForever() {
 	go func() { // want `goroutine may never terminate: the loop at line \d+ has no stop signal`
@@ -41,98 +34,62 @@ type phantom struct{ wg sync.WaitGroup }
 
 func (p *phantom) kick() {
 	//mheta:lifecycle waitgroup
-	go func() { // want `no sync.WaitGroup Add call precedes` `never calls sync.WaitGroup Done`
+	go func() { // want `no sync.WaitGroup Add call precedes`
 		for {
 		}
 	}()
 }
 
+// A stop channel is not an accepted mechanism: select on it in the loop
+// instead, which needs no annotation.
 type worker struct{ stop chan struct{} }
 
 func (w *worker) run() {
 	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
 	}
 }
 
 func (w *worker) start() {
 	//mheta:lifecycle stop
-	go w.run() // want `stop channel stop is never closed in this package`
+	go w.run() // want `//mheta:lifecycle takes one mechanism, "waitgroup" \(got "stop"\)`
 }
 
-func (w *worker) startTypo() {
-	//mheta:lifecycle sotp
-	go w.run() // want `names no channel in scope`
-}
-
-//mheta:lifecycle stop // want `must sit on a go statement`
+//mheta:lifecycle waitgroup // want `must sit on a go statement`
 var strayLifecycle int
 
-// ---- channel-send discipline ----
-
-func noReason(ch chan int) {
-	//mheta:sendsafe
-	ch <- 1 // want `needs a reason` `send on ch may block forever`
-}
-
-type q struct{ queue chan int }
-
-func newQ() *q {
-	return &q{queue: make(chan int, 8)}
-}
-
-// enqueue is the planted serve-style leak: a plain send into a shared
-// bounded admission queue, with no cancellation arm to shed under load.
-func (s *q) enqueue(v int) {
-	s.queue <- v // want `send on shared buffered channel s\.queue can find the buffer full`
-}
-
-func fillUp(n int) {
-	out := make(chan int, 4)
-	for i := 0; i < n; i++ {
-		out <- i // want `repeated send on buffered channel out can fill the buffer`
+// Done on another WaitGroup, or a Done that is not deferred, does not
+// pair with the Add before the spawn.
+func wrongGroup(jobs []int) {
+	var wg, started sync.WaitGroup
+	for range jobs {
+		wg.Add(1)
+		started.Add(1)
+		//mheta:lifecycle waitgroup
+		go func() { // want `never defers Done on a WaitGroup added before the go statement`
+			started.Done()
+			wg.Done()
+		}()
 	}
-	close(out)
+	started.Wait()
+	wg.Wait()
 }
 
-func selectNoCancel(a, b chan int) {
-	select {
-	case a <- 1: // want `send on a may block forever`
-	case b <- 2: // want `send on b may block forever`
-	}
-}
-
-//mheta:sendsafe drained by a receiver // want `must sit on a channel send`
-var straySendsafe int
-
-// ---- context propagation ----
-
-func fetch(ctx context.Context) error { return ctx.Err() }
-
-func lookup(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fetch(context.Background()) // want `context dropped: fetch takes a context\.Context but is handed context\.Background`
-}
-
-func pollForever(ctx context.Context, in chan int) { // want `context parameter ctx is never consulted, but the function blocks`
-	for { // want `loop never consults ctx`
-		<-in
-	}
-}
-
-func deafRecv(ctx context.Context, ready chan struct{}) { // want `context parameter ctx is never consulted, but the function blocks`
-	<-ready
+// A trailing annotation on the line above belongs to that line.
+func trailing(wg *sync.WaitGroup) {
+	wg.Add(1)   //mheta:lifecycle waitgroup // want `must sit on a go statement`
+	go func() { // want `goroutine may never terminate`
+		defer wg.Done()
+		for {
+		}
+	}()
 }
 
 // ---- suppression: a reasoned ignore hides the finding ----
 
-func tolerated(ch chan int) {
-	//lint:ignore leakcheck the caller guarantees a live receiver for the test harness
-	ch <- 9
+func tolerated() {
+	//lint:ignore leakcheck the fixture demonstrates a reasoned suppression
+	go func() {
+		for {
+		}
+	}()
 }

@@ -1,9 +1,7 @@
-// Package leakcheck_good exercises every discipline leakcheck accepts:
-// loop-free goroutines, verified lifecycle annotations (waitgroup and
-// stop channel), ctx.Done-governed loops, dedicated receivers, bounded
-// buffered sends (call-local and per-iteration channels), select arms
-// with default or cancellation escapes, threaded contexts, and reasoned
-// sendsafe annotations. The analyzer must stay silent on all of it.
+// Package leakcheck_good exercises every termination proof leakcheck
+// accepts: loop-free goroutines, verified waitgroup annotations, and
+// loops that receive a ctx.Done, a package-closed channel or a comma-ok
+// value. The analyzer must stay silent on all of it.
 package leakcheck_good
 
 import (
@@ -19,68 +17,32 @@ func fireAndForget(done chan struct{}) {
 	}()
 }
 
-// The serve batcher pattern end to end: waitgroup-annotated spawn,
-// comma-ok queue receive, select-with-cancellation admission, close on
-// shutdown, per-request buffered reply channels answered per iteration.
-type batcher struct {
-	queue chan req
+// A waitgroup-annotated spawn whose loop ends on a comma-ok receive.
+type drainer struct {
+	queue chan int
 	wg    sync.WaitGroup
 }
 
-type req struct{ reply chan int }
-
-func (b *batcher) start() {
-	b.wg.Add(1)
-	go b.loop() //mheta:lifecycle waitgroup
+func (d *drainer) start() {
+	d.wg.Add(1)
+	go d.loop() //mheta:lifecycle waitgroup
 }
 
-func (b *batcher) loop() {
-	defer b.wg.Done()
+func (d *drainer) loop() {
+	defer d.wg.Done()
 	for {
-		r, ok := <-b.queue
-		if !ok {
+		if _, ok := <-d.queue; !ok {
 			return
 		}
-		batch := []req{r}
-		for _, q := range batch {
-			q.reply <- 1
-		}
 	}
 }
 
-func (b *batcher) submit(ctx context.Context, r req) bool {
-	select {
-	case b.queue <- r:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func ask(ctx context.Context, b *batcher) int {
-	r := req{reply: make(chan int, 1)}
-	if !b.submit(ctx, r) {
-		return 0
-	}
-	select {
-	case v := <-r.reply:
-		return v
-	case <-ctx.Done():
-		return 0
-	}
-}
-
-func (b *batcher) stop() {
-	close(b.queue)
-	b.wg.Wait()
-}
-
-// A verified stop channel: closed in this package, received by the
-// spawned goroutine.
+// A stop channel closed in this package ends the loop that selects on
+// it; no annotation is needed.
 type ticker struct{ stop chan struct{} }
 
 func (t *ticker) start() {
-	go t.run() //mheta:lifecycle stop
+	go t.run()
 }
 
 func (t *ticker) run() {
@@ -99,8 +61,7 @@ func (t *ticker) shutdown() {
 	close(t.stop)
 }
 
-// A ctx.Done select inside the spawned loop proves termination without
-// any annotation.
+// A ctx.Done select inside the spawned loop proves termination.
 func watch(ctx context.Context, sig chan int) {
 	go func() {
 		for {
@@ -113,10 +74,7 @@ func watch(ctx context.Context, sig chan int) {
 	}()
 }
 
-// Dedicated receiver: the spawned goroutine ranges over out (closed
-// below), so the unbuffered sends in the main body have a drain; the
-// buffered sum send is owned by this call frame even though it happens
-// inside the literal.
+// Ranging over a channel this package closes ends with the close.
 func pipe(vals []int) int {
 	out := make(chan int)
 	sum := make(chan int, 1)
@@ -132,27 +90,6 @@ func pipe(vals []int) int {
 	}
 	close(out)
 	return <-sum
-}
-
-// A call-local buffered channel with one send never fills.
-func localReply() int {
-	done := make(chan int, 1)
-	done <- 42
-	return <-done
-}
-
-// Per-iteration reply channels: the channel is rooted at the range
-// variable, so each iteration sends into a fresh buffer.
-type unit struct{ reply chan int }
-
-func newUnit() unit {
-	return unit{reply: make(chan int, 1)}
-}
-
-func answerAll(us []unit) {
-	for _, u := range us {
-		u.reply <- 7
-	}
 }
 
 // Bounded stride workers: conditioned loops terminate on their own; the
@@ -172,32 +109,4 @@ func boundedWorkers(jobs []int) int {
 	}
 	wg.Wait()
 	return total[0] + total[1] + total[2] + total[3]
-}
-
-// An unbounded loop is fine when it consults the context.
-func goodCtx(ctx context.Context, in chan int) int {
-	for {
-		select {
-		case v := <-in:
-			return v
-		case <-ctx.Done():
-			return 0
-		}
-	}
-}
-
-// Shedding via a default arm keeps any send non-blocking.
-func shed(ch chan int) bool {
-	select {
-	case ch <- 1:
-		return true
-	default:
-		return false
-	}
-}
-
-// A reasoned sendsafe annotation records discipline the analysis cannot
-// see.
-func annotated(ch chan int) {
-	ch <- 1 //mheta:sendsafe the protocol guarantees a dedicated receiver on the other side
 }

@@ -68,8 +68,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.TypesInfo.TypeOf(e) }
 // ObjectOf returns the object denoted by ident, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.TypesInfo.ObjectOf(id) }
 
-// Directives returns every `//lint:` directive in the package, in file
-// order.
+// Directives returns every `//lint:` and `//mheta:` directive in the
+// package, in file order.
 func (p *Pass) Directives() []Directive { return p.directives }
 
 // DirectiveAt reports whether a directive with the given name is written
@@ -88,6 +88,26 @@ func (p *Pass) DirectiveAt(pos token.Pos, name string) bool {
 		}
 	}
 	return false
+}
+
+// MhetaAt returns the //mheta:<name> directives annotating the construct
+// at pos: written on its line, or alone on the line above. gofmt indents
+// such a line comment to the construct's own column, while a trailing
+// comment on the previous line sits further right and belongs to that
+// line's construct.
+func (p *Pass) MhetaAt(pos token.Pos, name string) []Directive {
+	at := p.Fset.Position(pos)
+	var out []Directive
+	for _, d := range p.directives {
+		if d.Kind != "mheta" || d.Name != name {
+			continue
+		}
+		dp := p.Fset.Position(d.Pos)
+		if dp.Filename == at.Filename && (dp.Line == at.Line || dp.Line == at.Line-1 && dp.Column == at.Column) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // IsDeterministic reports whether this package is subject to the

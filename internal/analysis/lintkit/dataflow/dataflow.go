@@ -122,30 +122,13 @@ type Semantics[V comparable] interface {
 //     "defer mu.Unlock()" idiom then reads as a release scoped to the
 //     remainder of the function;
 //   - no transfer at all for a go'd call: its effects happen on another
-//     goroutine. The spawned literal's *body* is still analyzed, against
-//     a snapshot of the current environment and state.
-//
-// ReturnState and ExitState observe the state leaving the function, for
-// summary inference (ExitState fires only when the body can fall off the
-// end).
+//     goroutine. A spawned literal's *body* is still analyzed, against a
+//     snapshot of the current bindings but with the flow state reset to
+//     Bottom — the new goroutine starts with none of its spawner's point
+//     properties (no held locks) — for the client's Enter to seed.
 type Stateful[V comparable] interface {
 	CallState(call *ast.CallExpr, state V) V
 	DeferState(call *ast.CallExpr, state V) V
-	ReturnState(fn ast.Node, ret *ast.ReturnStmt, state V)
-	ExitState(fn ast.Node, state V)
-}
-
-// CommObserver is an optional Semantics extension for analyses that care
-// about channel operations with their *evaluated* operands — a channel
-// discipline checker wants the abstract value that reached `ch` in
-// `ch <- v`, which only the engine's environment knows (the channel may
-// have been bound by `ch := make(chan T, n)` several statements and
-// branches earlier). Send fires at every send statement, including those
-// used as a select's comm clause, after both operands have been
-// evaluated. Like every hook it may run more than once per statement
-// (loop fixpoints, branch arms), so clients deduplicate by position.
-type CommObserver[V comparable] interface {
-	Send(s *ast.SendStmt, ch V)
 }
 
 // Env maps variables to abstract values. Missing objects are Bottom.
@@ -222,8 +205,6 @@ type Interp[V comparable] struct {
 	// last-synced value is always the current program point's.
 	st  Stateful[V]
 	cur V
-	// co is Sem's CommObserver view, nil when Sem does not implement it.
-	co CommObserver[V]
 }
 
 // State returns the flow state at the program point currently being
@@ -242,9 +223,6 @@ func (in *Interp[V]) funcWith(fn ast.Node, env *Env[V]) {
 	if in.st == nil {
 		in.st, _ = in.Sem.(Stateful[V])
 	}
-	if in.co == nil {
-		in.co, _ = in.Sem.(CommObserver[V])
-	}
 	var ft *ast.FuncType
 	var body *ast.BlockStmt
 	switch f := fn.(type) {
@@ -261,9 +239,6 @@ func (in *Interp[V]) funcWith(fn ast.Node, env *Env[V]) {
 	fs := &funcScope[V]{in: in, fn: fn, resultObjs: namedResults(in.Info, ft)}
 	in.Sem.Enter(fn, ft, env)
 	fs.stmt(env, body)
-	if in.st != nil && !fs.terminates(body) {
-		in.st.ExitState(fn, env.state)
-	}
 }
 
 // namedResults resolves the objects of named results, for naked returns.
@@ -373,10 +348,14 @@ const (
 func (fs *funcScope[V]) call(env *Env[V], x *ast.CallExpr, mode callMode) V {
 	if lit, ok := ast.Unparen(x.Fun).(*ast.FuncLit); ok {
 		// go func(){…}(), defer func(){…}(), and immediately-invoked
-		// closures: the body executes against the bindings (and, for
-		// go, the locks — a fork-join-under-lock assumption the guarded
-		// analyzer documents) in scope here.
-		fs.in.funcWith(lit, env.clone())
+		// closures: the body executes against the bindings in scope here.
+		// Only a deferred or invoked body also runs at this point's flow
+		// state; a spawned one starts from Bottom on its own goroutine.
+		litEnv := env.clone()
+		if mode == goCall {
+			litEnv.state = fs.in.Sem.Bottom()
+		}
+		fs.in.funcWith(lit, litEnv)
 		fs.sync(env)
 	}
 	v := fs.in.Sem.Call(x, func(arg ast.Expr) V { return fs.eval(env, arg) })
@@ -595,11 +574,8 @@ func (fs *funcScope[V]) stmt(env *Env[V], s ast.Stmt) {
 	case *ast.DeferStmt:
 		fs.call(env, st.Call, deferCall)
 	case *ast.SendStmt:
-		chv := fs.eval(env, st.Chan)
+		fs.eval(env, st.Chan)
 		fs.eval(env, st.Value)
-		if fs.in.co != nil {
-			fs.in.co.Send(st, chv)
-		}
 	case *ast.IncDecStmt:
 		// x++ both reads and writes x: evaluate, then store, so write
 		// checks (guarded fields) fire alongside read checks. The engine
@@ -773,9 +749,6 @@ func (fs *funcScope[V]) ret(env *Env[V], st *ast.ReturnStmt) {
 		}
 	}
 	sem.Return(fs.fn, st, vals)
-	if fs.in.st != nil {
-		fs.in.st.ReturnState(fs.fn, st, env.state)
-	}
 }
 
 // countResults returns the declared result count of fn.

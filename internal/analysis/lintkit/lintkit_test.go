@@ -287,6 +287,39 @@ var B int
 	}
 }
 
+// MhetaAt attaches a directive on the construct's own line, or alone on
+// the line above; a trailing directive on the line above belongs to that
+// line's construct.
+func TestMhetaAt(t *testing.T) {
+	pkg := checkSrc(t, "p", `package p
+
+type S struct {
+	mu int
+	a  int //mheta:guardedby mu
+	b  int
+	//mheta:guardedby mu
+	c int
+}
+`)
+	pass := &Pass{PkgPath: pkg.PkgPath, Fset: pkg.Fset, Files: pkg.Files,
+		directives: ParseDirectives(pkg.Files[0])}
+	fields := map[string]token.Pos{}
+	ast.Inspect(pkg.Files[0], func(n ast.Node) bool {
+		if f, ok := n.(*ast.Field); ok && len(f.Names) == 1 {
+			fields[f.Names[0].Name] = f.Names[0].Pos()
+		}
+		return true
+	})
+	for name, want := range map[string]int{"mu": 0, "a": 1, "b": 0, "c": 1} {
+		if got := len(pass.MhetaAt(fields[name], "guardedby")); got != want {
+			t.Errorf("field %s: %d guardedby directives, want %d", name, got, want)
+		}
+	}
+	if got := pass.MhetaAt(fields["a"], "locks"); len(got) != 0 {
+		t.Errorf("wrong directive name matched: %v", got)
+	}
+}
+
 func TestAnalyzerErrorPropagates(t *testing.T) {
 	pkg := checkSrc(t, "p", "package p\n")
 	boom := &Analyzer{Name: "boom", Doc: "always fails", Run: func(*Pass) (any, error) {

@@ -129,7 +129,7 @@ func runPackage(analyzers []*Analyzer, pkg *Package) ([]Finding, error) {
 			findings = append(findings, Finding{
 				Analyzer: "lintkit",
 				Pos:      pkg.Fset.Position(d.Pos),
-				Message:  fmt.Sprintf("unknown //mheta:%s directive (this suite defines //mheta:units, //mheta:guardedby, //mheta:atomic, //mheta:locks, //mheta:lifecycle, //mheta:sendsafe)", d.Name),
+				Message:  fmt.Sprintf("unknown //mheta:%s directive (this suite defines %s)", d.Name, knownMheta),
 			})
 		}
 	}
@@ -160,18 +160,25 @@ func runPackage(analyzers []*Analyzer, pkg *Package) ([]Finding, error) {
 }
 
 // mhetaDirectives is the closed set of annotation names the suite
-// defines: units (dimension facts), guardedby/atomic (field
-// concurrency discipline), locks (function locking contracts),
-// lifecycle (goroutine termination mechanism), sendsafe (channel-send
-// discipline the analysis cannot see).
+// defines: units (dimension facts), guardedby (a field's mutex), locks
+// (a method's required locks), lifecycle (a goroutine's termination
+// mechanism).
 var mhetaDirectives = map[string]bool{
 	"units":     true,
 	"guardedby": true,
-	"atomic":    true,
 	"locks":     true,
 	"lifecycle": true,
-	"sendsafe":  true,
 }
+
+// knownMheta lists mhetaDirectives for the unknown-directive message.
+var knownMheta = func() string {
+	names := make([]string, 0, len(mhetaDirectives))
+	for n := range mhetaDirectives {
+		names = append(names, "//mheta:"+n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}()
 
 // missingReason reports whether an ignore-style directive lacks its
 // mandatory justification. For ignore the first word is the analyzer

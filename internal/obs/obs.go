@@ -124,7 +124,7 @@ func (r *Registry) Series(name string) *Series {
 // Counter is a monotonically increasing count. The zero value is ready;
 // a nil *Counter no-ops.
 type Counter struct {
-	v atomic.Int64 //mheta:atomic
+	v atomic.Int64
 }
 
 // Add increments the counter by n.
@@ -149,7 +149,7 @@ func (c *Counter) Value() int64 {
 // Gauge is a last-value-wins float64. The zero value is ready; a nil
 // *Gauge no-ops.
 type Gauge struct {
-	bits atomic.Uint64 //mheta:atomic
+	bits atomic.Uint64
 }
 
 // Set records the gauge's current value.
@@ -240,7 +240,7 @@ func (h *Histogram) BucketCounts() []int64 {
 // practice (the hot paths add from one goroutine per instrument), but
 // safe under contention.
 type atomicFloat struct {
-	bits atomic.Uint64 //mheta:atomic
+	bits atomic.Uint64
 }
 
 func (f *atomicFloat) add(x float64) {

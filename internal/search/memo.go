@@ -39,14 +39,14 @@ type Memo struct {
 	evalMu sync.Mutex
 	ev     Evaluator //mheta:guardedby evalMu
 
-	misses atomic.Int64 //mheta:atomic
+	misses atomic.Int64
 
 	// limit, when positive, bounds the table: the epoch after a publish
 	// grows past limit entries, the whole table is cleared (deterministic
 	// for a deterministic batch sequence — eviction depends only on
 	// insertion history, never on goroutine timing).
-	limit     int          //mheta:guardedby mu
-	evictions atomic.Int64 //mheta:atomic
+	limit     int //mheta:guardedby mu
+	evictions atomic.Int64
 
 	// Observability (nil when unobserved; see Observe).
 	obsHits, obsMisses, obsEvict *obs.Counter
@@ -184,6 +184,8 @@ func (m *Memo) SetLimit(n int) {
 }
 
 // maybeEvictLocked applies the table bound; the caller holds mu.
+//
+//mheta:locks requires mu
 func (m *Memo) maybeEvictLocked() {
 	if m.limit <= 0 || len(m.table) <= m.limit {
 		return

@@ -17,10 +17,10 @@ import (
 // concurrent Memo pays for its thread safety. The fresh batch is
 // forwarded to the inner evaluator whole, with the batch's ancestor.
 //
-// lightMemo carries no //mheta:guardedby or //mheta:atomic annotations
-// deliberately: every field is owned by the single searcher goroutine
-// that created it (GBS never shares its memo), so there is no locking
-// contract for the guarded analyzer to enforce — single ownership, not
+// lightMemo carries no //mheta:guardedby annotations deliberately:
+// every field is owned by the single searcher goroutine that created it
+// (GBS never shares its memo), so there is no locking contract for the
+// guarded analyzer to enforce — single ownership, not
 // synchronisation, is the safety argument here.
 type lightMemo struct {
 	ev Evaluator

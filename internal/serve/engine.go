@@ -81,6 +81,7 @@ func (e *engine) build(s *Server) {
 	e.master = model
 	e.params = model.Params()
 	e.blk = dist.Block(e.app.Prog.GlobalElems(), e.spec.N())
+	//lint:ignore guarded handlers touch detail only after <-e.ready, and close(e.ready) orders this write before their reads
 	e.detail = model.Clone()
 
 	// Same delta evaluator as a CLI search, under a memo that is

@@ -122,7 +122,7 @@ type Server struct {
 	// searchSlots is the running-search semaphore; searchWaiters counts
 	// running plus waiting, bounding the backlog.
 	searchSlots   chan struct{}
-	searchWaiters atomic.Int64 //mheta:atomic
+	searchWaiters atomic.Int64
 
 	// Counters are created once here and written concurrently (they are
 	// internally atomic).

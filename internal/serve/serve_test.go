@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -466,6 +467,121 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestSearchDeadlineWhileWaitingForSlot pins the backlog wait's bound: a
+// search queued behind a running one answers 504 when its own deadline
+// passes, without waiting for the slot to free.
+func TestSearchDeadlineWhileWaitingForSlot(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := New(Config{MaxSearches: 1, SearchBacklog: 1})
+	srv.testHookSearchStarted = func(context.Context) {
+		entered <- struct{}{}
+		<-release
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	running := make(chan int, 1)
+	go func() {
+		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		running <- code
+	}()
+	<-entered // the running slot is taken until release
+
+	queued := make(chan int, 1)
+	go func() {
+		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), TimeoutMS: 100})
+		queued <- code
+	}()
+	select {
+	case code := <-queued:
+		if code != http.StatusGatewayTimeout {
+			t.Errorf("queued search: status %d, want 504", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("queued search outlived its 100ms deadline waiting for a slot")
+	}
+	close(release)
+	if code := <-running; code != http.StatusOK {
+		t.Errorf("running search: status %d, want 200", code)
+	}
+	if srv.mSearchCanceled.Value() == 0 {
+		t.Error("serve.search.canceled counter did not move")
+	}
+}
+
+// TestShutdownReturnsAtDeadline pins Shutdown's bound: with a search
+// still in flight, it returns its context's error once that deadline
+// passes instead of waiting out the drain.
+func TestShutdownReturnsAtDeadline(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := New(Config{})
+	srv.testHookSearchStarted = func(context.Context) {
+		entered <- struct{}{}
+		<-release
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	searchDone := make(chan int, 1)
+	go func() {
+		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		searchDone <- code
+	}()
+	<-entered
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	select {
+	case err := <-shutdownDone:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Shutdown = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Shutdown outlived its 50ms deadline while a search was in flight")
+	}
+	close(release)
+	if code := <-searchDone; code != http.StatusOK {
+		t.Errorf("in-flight search: status %d, want 200", code)
+	}
+}
+
+// TestDeadlineDuringEngineBuild pins that the engine-build wait shares
+// the request deadline: on a cold scenario whose build outlasts a 1ms
+// deadline, /predict and /search answer 504, and the search never
+// starts on the engine.
+func TestDeadlineDuringEngineBuild(t *testing.T) {
+	var started atomic.Bool
+	srv := New(Config{})
+	srv.testHookSearchStarted = func(context.Context) { started.Store(true) }
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// A "quick"-scale build instruments for tens of milliseconds; each
+	// request gets a scenario of its own, so each waits on a fresh build.
+	cold := func(seed uint64) scenarioWire {
+		return scenarioWire{App: "jacobi", Config: "HY1", Scale: "quick", Seed: &seed}
+	}
+	if code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: cold(1), TimeoutMS: 1}); code != http.StatusGatewayTimeout {
+		t.Errorf("predict during build: status %d (%s), want 504", code, data)
+	}
+	if code, data := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: cold(2), TimeoutMS: 1}); code != http.StatusGatewayTimeout {
+		t.Errorf("search during build: status %d (%s), want 504", code, data)
+	}
+	if started.Load() {
+		t.Error("the search started on the engine after its deadline had passed")
+	}
+	// Join the build before the next test counts goroutines.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
