@@ -507,22 +507,7 @@ func BenchmarkServePredict(b *testing.B) {
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	spec := cluster.HY1(8)
-	app := experiments.JacobiBuilder(false).Build(experiments.ScaleTest)
-	blk := dist.Block(app.Prog.GlobalElems(), spec.N())
-	bodies := make([][]byte, 8)
-	for i := range bodies {
-		d := blk.Clone()
-		d[0] -= i
-		d[len(d)-1] += i
-		body, err := json.Marshal(map[string]any{
-			"app": "jacobi", "config": "HY1", "scale": "test", "dist": d,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies[i] = body
-	}
+	bodies := predictBodies(b)
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
 	post := func(body []byte) error {
 		resp, err := client.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
@@ -553,6 +538,59 @@ func BenchmarkServePredict(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// predictBodies returns /predict bodies for eight perturbations of Blk
+// on jacobi/HY1 at test scale.
+func predictBodies(b *testing.B) [][]byte {
+	spec := cluster.HY1(8)
+	app := experiments.JacobiBuilder(false).Build(experiments.ScaleTest)
+	blk := dist.Block(app.Prog.GlobalElems(), spec.N())
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		d := blk.Clone()
+		d[0] -= i
+		d[len(d)-1] += i
+		body, err := json.Marshal(map[string]any{
+			"app": "jacobi", "config": "HY1", "scale": "test", "dist": d,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	return bodies
+}
+
+// BenchmarkPredictHandler measures the /predict handler alone: a warm,
+// memo-hit request through Server.ServeHTTP into an
+// httptest.ResponseRecorder, with no TCP or client in the loop. Its
+// allocs/op is gated by mheta-bench; the request and recorder set-up
+// are part of every op.
+func BenchmarkPredictHandler(b *testing.B) {
+	srv := serve.New(serve.Config{})
+	defer srv.Shutdown(context.Background())
+	bodies := predictBodies(b)
+	post := func(body []byte) error {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
+	for _, body := range bodies { // warm: instruments the engine, fills the memo
+		if err := post(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := post(bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- Ablation benches (DESIGN.md §5) -----------------------------------

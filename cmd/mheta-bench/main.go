@@ -36,24 +36,28 @@ import (
 )
 
 // defaultBench selects the micro benchmarks: model evaluation, memo,
-// search and emulator throughput, and the validation sweep. The
+// search and emulator throughput, the /predict handler and the HTTP
+// serving path, and the validation sweep. The
 // experiment-replay benchmarks (Figure9*, SearchStudy, ...) run the
 // emulator for minutes and measure accuracy, not speed; they are not
 // recorded. Sweep is recorded but not gated (see defaultGate).
 const defaultBench = "^Benchmark(ModelEvaluate|ModelEvaluatePipelined|" +
 	"MemoisedEvaluate|MemoisedEvaluateObserved|MemoConcurrentBatches|" +
-	"DeltaEvaluate|DeltaEvaluatePipelined|Emulate|ServePredict|" +
+	"DeltaEvaluate|DeltaEvaluatePipelined|Emulate|PredictHandler|ServePredict|" +
 	"SearchGBS|SearchGenetic|SearchAnnealing|SearchRandom|" +
 	"SearchFreshClone|Sweep)$"
 
-// defaultGate guards the memo, search and emulator-scaling benchmarks —
-// the ones whose performance this repo actively optimises and must not
-// quietly lose. The HTTP serving benchmark stays out of the ns/allocs
-// gate (net/http allocation counts drift across Go releases and load
+// defaultGate guards the memo, search, emulator-scaling and /predict
+// handler benchmarks — the ones whose performance this repo actively
+// optimises and must not quietly lose. The handler benchmark runs one
+// request at a time through Server.ServeHTTP with no connection, so its
+// allocation count is the handler's own plus a fixed httptest set-up.
+// The HTTP serving benchmark stays out of the ns/allocs gate (net/http
+// connection allocation counts drift across Go releases and load
 // patterns); it is held to its throughput floor via -min-metric instead.
 // Sweep stays out too: one op takes seconds, and on a host whose speed
 // drifts 2× a one-op ns/op is noise (bench/README.md).
-const defaultGate = "^Benchmark(Memoised|MemoConcurrentBatches|Search|Emulate)"
+const defaultGate = "^Benchmark(Memoised|MemoConcurrentBatches|Search|Emulate|PredictHandler)"
 
 // defaultMinMetric pins absolute throughput floors: benchmarks that must
 // not just avoid regressing relative to the baseline but must clear a

@@ -27,3 +27,7 @@ func CGRowEntriesForTest(cfg CGConfig, i int) map[int]float64 {
 // tridiagonal coefficients out of a lanczos state.
 func LanczosAlphasForTest(s exec.State) []float64 { return s.(*lanczosState).Alphas }
 func LanczosBetasForTest(s exec.State) []float64  { return s.(*lanczosState).Betas }
+
+// JacobiGlobalResidualForTest reads the reduced residual out of a jacobi
+// state.
+func JacobiGlobalResidualForTest(s exec.State) float64 { return s.(*jacobiState).GlobalResidual }

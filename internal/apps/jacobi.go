@@ -221,9 +221,11 @@ func (s *jacobiState) OnReduce(nc *exec.NodeCtx, sec int, vals []float64) {
 
 // JacobiReference runs the identical block-relaxation sequentially for
 // verification: same distribution, same halo protocol (halos update at
-// iteration boundaries), same kernel. It returns the final grid and the
-// final global residual.
-func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, float64) {
+// iteration boundaries), same kernel. It returns the final grid and each
+// block's residual Σ|Δ| over the last iteration, summed in the kernel's
+// order (zero for an empty block); the emulated run's GlobalResidual is
+// their reduction.
+func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, []float64) {
 	grid := make([][]float64, cfg.Rows)
 	for i := range grid {
 		grid[i] = jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, i)
@@ -242,14 +244,14 @@ func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, fl
 			halos[p] = jacobiBoundaryRowInto(make([]float64, cfg.Cols), cfg, -1)
 		}
 	}
-	residual := 0.0
+	residuals := make([]float64, len(blocks))
 	for it := 0; it < iters; it++ {
-		residual = 0
 		// All blocks sweep using halos from the previous iteration.
 		for p, b := range blocks {
 			if b == 0 {
 				continue
 			}
+			residual := 0.0
 			prev := halos[p]
 			for i := starts[p]; i < starts[p]+b; i++ {
 				for j := 0; j < cfg.Cols; j++ {
@@ -264,6 +266,7 @@ func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, fl
 				}
 				prev = grid[i]
 			}
+			residuals[p] = residual
 		}
 		// Exchange: each block's halo becomes the upstream block's final
 		// last row.
@@ -284,5 +287,5 @@ func JacobiReference(cfg JacobiConfig, blocks []int, iters int) ([][]float64, fl
 			}
 		}
 	}
-	return grid, residual
+	return grid, residuals
 }

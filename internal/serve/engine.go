@@ -97,6 +97,17 @@ func (e *engine) build(s *Server) {
 	e.memo = memo
 }
 
+// built reports whether build has run, after which err and the model
+// fields may be read.
+func (e *engine) built() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
+}
+
 // predict scores d through the shared memo, as a batch of one.
 func (e *engine) predict(d dist.Distribution) float64 {
 	var out [1]float64

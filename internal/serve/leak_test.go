@@ -48,7 +48,11 @@ func TestNoGoroutineLeakAfterBurstAndDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire()})
+			code, data, err := post(ts.URL+"/predict", PredictRequest{scenarioWire: testWire()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if code != http.StatusOK {
 				t.Errorf("predict status %d: %s", code, data)
 			}

@@ -17,7 +17,12 @@
 //   - /predict requests take one of a bounded number of per-engine slots
 //     (all taken = shed with 429) and are scored on their own handler
 //     goroutine, as a batch of one through a shared cross-request memo
-//     (epoch eviction bounds it).
+//     (epoch eviction bounds it). A canonical body is decoded by a strict
+//     single-pass scanner and the answer appended straight into bytes;
+//     encoding/json, which defines the wire format, decodes every other
+//     body and encodes every answer the appender cannot render
+//     identically. Only a request that must wait for its engine's build
+//     gets a deadline context; a warm request never waits.
 //   - /search requests take a slot from a bounded semaphore (running +
 //     backlog over the cap = shed with 429) and run the searcher under a
 //     per-request context deadline threaded into the search loop.
@@ -31,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -210,16 +214,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Metrics returns the server's registry (also served at GET /metrics).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// resolveScenario validates a wire scenario and returns the canonical
-// key plus the cluster spec and application. A warm scenario reuses its
-// engine's spec and application; only an engine-map miss builds them.
+// scenarioOf validates a wire scenario and returns its canonical key.
 // Defaults mirror the CLI flags: scale "paper", seed 42.
-func (s *Server) resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.App, error) {
+func scenarioOf(w scenarioWire) (Scenario, error) {
 	if w.App == "" {
-		return Scenario{}, cluster.Spec{}, nil, errors.New("missing \"app\" (jacobi, jacobi-pf, cg, lanczos, rna, multigrid)")
+		return Scenario{}, errors.New("missing \"app\" (jacobi, jacobi-pf, cg, lanczos, rna, multigrid)")
 	}
 	if w.Config == "" {
-		return Scenario{}, cluster.Spec{}, nil, errors.New("missing \"config\" (DC, IO, HY1, HY2)")
+		return Scenario{}, errors.New("missing \"config\" (DC, IO, HY1, HY2)")
 	}
 	scen := Scenario{App: w.App, Config: w.Config, Scale: w.Scale, Seed: 42}
 	if scen.Scale == "" {
@@ -228,25 +230,51 @@ func (s *Server) resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.
 	if w.Seed != nil {
 		scen.Seed = *w.Seed
 	}
+	return scen, nil
+}
+
+// lookup returns the scenario's engine (nil when it has none) and
+// whether the server is shutting down, under one hold of s.mu.
+func (s *Server) lookup(scen Scenario) (*engine, bool) {
 	s.mu.Lock()
-	e := s.engines[scen]
-	s.mu.Unlock()
-	if e != nil {
-		return scen, e.spec, e.app, nil
-	}
+	defer s.mu.Unlock()
+	return s.engines[scen], s.closed
+}
+
+// buildScenario builds the cluster spec and application a scenario
+// names.
+func buildScenario(scen Scenario) (cluster.Spec, *exec.App, error) {
 	b, err := experiments.BuilderByName(scen.App)
 	if err != nil {
-		return Scenario{}, cluster.Spec{}, nil, err
+		return cluster.Spec{}, nil, err
 	}
 	sc, err := experiments.ParseScale(scen.Scale)
 	if err != nil {
-		return Scenario{}, cluster.Spec{}, nil, err
+		return cluster.Spec{}, nil, err
 	}
 	spec, err := cluster.Named(scen.Config)
 	if err != nil {
+		return cluster.Spec{}, nil, err
+	}
+	return spec, b.Build(sc), nil
+}
+
+// resolveScenario validates a wire scenario and returns the canonical
+// key plus the cluster spec and application. A warm scenario reuses its
+// engine's spec and application; only an engine-map miss builds them.
+func (s *Server) resolveScenario(w scenarioWire) (Scenario, cluster.Spec, *exec.App, error) {
+	scen, err := scenarioOf(w)
+	if err != nil {
 		return Scenario{}, cluster.Spec{}, nil, err
 	}
-	return scen, spec, b.Build(sc), nil
+	if e, _ := s.lookup(scen); e != nil {
+		return scen, e.spec, e.app, nil
+	}
+	spec, app, err := buildScenario(scen)
+	if err != nil {
+		return Scenario{}, cluster.Spec{}, nil, err
+	}
+	return scen, spec, app, nil
 }
 
 // engine returns the scenario's engine, building it (once, off-lock) on
@@ -307,7 +335,9 @@ type PredictRequest struct {
 	// Detailed adds per-iteration, per-node and per-section times to the
 	// response (evaluated outside the memo fast path).
 	Detailed bool `json:"detailed,omitempty"`
-	// TimeoutMS overrides the server's default request deadline.
+	// TimeoutMS overrides the server's default request deadline, which
+	// bounds the wait for the scenario's engine build: the only wait a
+	// /predict request can block on (a full engine sheds instead).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -326,13 +356,28 @@ type PredictResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.mPredict.Inc()
-	var req PredictRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	buf, err := readBody(w, r)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	scen, spec, app, err := s.resolveScenario(req.scenarioWire)
+	defer putBuf(buf)
+	var req PredictRequest
+	if err := decodePredict(*buf, &req); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	scen, err := scenarioOf(req.scenarioWire)
 	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	e, closed := s.lookup(scen)
+	var spec cluster.Spec
+	var app *exec.App
+	if e != nil {
+		spec, app = e.spec, e.app
+	} else if spec, app, err = buildScenario(scen); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -348,9 +393,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	e, err := s.engine(ctx, scen, spec, app)
+	switch {
+	case closed:
+		err = errShutdown
+	case e == nil || !e.built():
+		// The engine build is the only wait, so only it needs the
+		// request deadline.
+		ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
+		e, err = s.engine(ctx, scen, spec, app)
+		cancel()
+	default:
+		err = e.err
+	}
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -378,7 +432,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.NodeTimesS = pred.NodeTimes
 		resp.SectionTimesS = pred.SectionTimes
 	}
-	writeJSON(w, resp)
+	writePredict(w, buf, &resp)
 }
 
 // SearchRequest is the POST /search body.
@@ -398,6 +452,24 @@ type SearchRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// algorithm validates the request's search options and returns the
+// algorithm to run (gbs when none is named).
+func (req *SearchRequest) algorithm() (string, error) {
+	alg := req.Alg
+	if alg == "" {
+		alg = mheta.AlgGBS
+	}
+	switch alg {
+	case mheta.AlgGBS, mheta.AlgGenetic, mheta.AlgAnnealing, mheta.AlgRandom:
+	default:
+		return "", fmt.Errorf("unknown alg %q (gbs, genetic, annealing, random)", alg)
+	}
+	if req.Workers < 0 {
+		return "", fmt.Errorf("workers %d < 0", req.Workers)
+	}
+	return alg, nil
+}
+
 // SearchResponse is the POST /search answer; the first four fields are
 // bit-identical to the mheta-search row for the same scenario, and
 // Blk/BlkTimeS match its baseline row.
@@ -412,8 +484,15 @@ type SearchResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.mSearch.Inc()
+	buf, err := readBody(w, r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	var req SearchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	err = decodeJSON(*buf, &req)
+	putBuf(buf)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -422,18 +501,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	alg := req.Alg
-	if alg == "" {
-		alg = mheta.AlgGBS
-	}
-	switch alg {
-	case mheta.AlgGBS, mheta.AlgGenetic, mheta.AlgAnnealing, mheta.AlgRandom:
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown alg %q (gbs, genetic, annealing, random)", alg))
-		return
-	}
-	if req.Workers < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("workers %d < 0", req.Workers))
+	alg, err := req.algorithm()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
@@ -509,21 +579,6 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	default:
 		httpError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-// decodeJSON parses a request body strictly: unknown fields are errors
-// (they are always typos of tuning knobs), anything after the one JSON
-// value is an error, and bodies are capped at 1 MiB.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("bad request body: data after the JSON value")
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -47,22 +47,34 @@ func refModel(t *testing.T) (*mheta.Model, *mheta.App, mheta.ClusterSpec) {
 	return model, app, spec
 }
 
+// postJSON posts body and fails the test on a transport error; call it
+// only from the test's own goroutine.
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
-	buf, err := json.Marshal(body)
+	code, data, err := post(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code, data
+}
+
+// post is postJSON for spawned goroutines: it returns the transport
+// error for the caller to report.
+func post(url string, body any) (int, []byte, error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, err
+	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	return resp.StatusCode, data
+	return resp.StatusCode, data, nil
 }
 
 func decode[T any](t *testing.T, data []byte) T {
@@ -257,7 +269,10 @@ func TestPredictShedsWhenQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _ = postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire()})
+			var err error
+			if codes[i], _, err = post(ts.URL+"/predict", PredictRequest{scenarioWire: testWire()}); err != nil {
+				t.Error(err)
+			}
 		}(i)
 		<-entered // request i holds a slot inside the hook
 	}
@@ -388,13 +403,19 @@ func TestSearchShedsWhenBacklogFull(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		codes[0], _ = postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		var err error
+		if codes[0], _, err = post(ts.URL+"/search", SearchRequest{scenarioWire: testWire()}); err != nil {
+			t.Error(err)
+		}
 	}()
 	<-entered // search 0 holds the slot inside the hook
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		codes[1], _ = postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		var err error
+		if codes[1], _, err = post(ts.URL+"/search", SearchRequest{scenarioWire: testWire()}); err != nil {
+			t.Error(err)
+		}
 	}()
 	waitFor(t, "backlogged search", func() bool { return srv.searchWaiters.Load() == 2 })
 
@@ -435,7 +456,10 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	searchDone := make(chan result, 1)
 	go func() {
-		code, data := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		code, data, err := post(ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		if err != nil {
+			t.Error(err)
+		}
 		searchDone <- result{code, data}
 	}()
 	<-entered
@@ -486,14 +510,20 @@ func TestSearchDeadlineWhileWaitingForSlot(t *testing.T) {
 
 	running := make(chan int, 1)
 	go func() {
-		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		code, _, err := post(ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		if err != nil {
+			t.Error(err)
+		}
 		running <- code
 	}()
 	<-entered // the running slot is taken until release
 
 	queued := make(chan int, 1)
 	go func() {
-		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), TimeoutMS: 100})
+		code, _, err := post(ts.URL+"/search", SearchRequest{scenarioWire: testWire(), TimeoutMS: 100})
+		if err != nil {
+			t.Error(err)
+		}
 		queued <- code
 	}()
 	select {
@@ -529,7 +559,10 @@ func TestShutdownReturnsAtDeadline(t *testing.T) {
 
 	searchDone := make(chan int, 1)
 	go func() {
-		code, _ := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		code, _, err := post(ts.URL+"/search", SearchRequest{scenarioWire: testWire()})
+		if err != nil {
+			t.Error(err)
+		}
 		searchDone <- code
 	}()
 	<-entered
@@ -614,13 +647,21 @@ func TestPredictConcurrentSharedMemo(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			k := i % len(dists)
-			code, data := postJSON(t, ts.URL+"/predict",
+			code, data, err := post(ts.URL+"/predict",
 				PredictRequest{scenarioWire: testWire(), Dist: dists[k], Detailed: i%7 == 0})
+			if err != nil {
+				errs <- fmt.Errorf("request %d: %v", i, err)
+				return
+			}
 			if code != http.StatusOK {
 				errs <- fmt.Errorf("request %d: status %d: %s", i, code, data)
 				return
 			}
-			got := decode[PredictResponse](t, data)
+			var got PredictResponse
+			if err := json.Unmarshal(data, &got); err != nil {
+				errs <- fmt.Errorf("request %d: decode %s: %v", i, data, err)
+				return
+			}
 			if got.TotalS != wants[k] {
 				errs <- fmt.Errorf("request %d: total %v, want %v", i, got.TotalS, wants[k])
 			}
