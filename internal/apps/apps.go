@@ -93,8 +93,19 @@ func chunkWork(units float64, buf []byte) float64 {
 // the same (seed, index) always yields the same value in [0, 1), on every
 // rank, so each rank can materialise its block of the global dataset
 // without communication.
-func hash64(seed uint64, i int) float64 {
-	z := seed + uint64(i)*0x9e3779b97f4a7c15
+func hash64(seed uint64, i int) float64 { return mix64(hashKey(seed, i)) }
+
+// hashStep is the difference between the keys of consecutive indices:
+// hashKey(seed, i+1) == hashKey(seed, i) + hashStep in uint64
+// arithmetic, so a loop over indices can step the key instead of
+// multiplying.
+const hashStep = 0x9e3779b97f4a7c15
+
+// hashKey is hash64's key for index i.
+func hashKey(seed uint64, i int) uint64 { return seed + uint64(i)*hashStep }
+
+// mix64 turns a key into hash64's value.
+func mix64(z uint64) float64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31

@@ -8,12 +8,12 @@ import "mheta/internal/exec"
 func F64sForTest(b []byte) []float64 { return f64s(b) }
 
 // CGNNZForTest exposes the true nonzero count of row i.
-func CGNNZForTest(cfg CGConfig, i int) int { return cgNNZ(cfg, i) }
+func CGNNZForTest(cfg CGConfig, i int) int { return len(CGRowEntriesForTest(cfg, i)) }
 
 // CGRowEntriesForTest exposes row i's (column → value) map.
 func CGRowEntriesForTest(cfg CGConfig, i int) map[int]float64 {
 	row := make([]float64, 2*cfg.cgSlots())
-	cgRowInto(row, cfg, i)
+	cgRowInto(row, cfg, cfg.rowBands(i, i+1), i)
 	out := make(map[int]float64)
 	for k := 0; k < len(row); k += 2 {
 		if row[k] >= 0 {
@@ -31,3 +31,6 @@ func LanczosBetasForTest(s exec.State) []float64  { return s.(*lanczosState).Bet
 // JacobiGlobalResidualForTest reads the reduced residual out of a jacobi
 // state.
 func JacobiGlobalResidualForTest(s exec.State) float64 { return s.(*jacobiState).GlobalResidual }
+
+// RNAGlobalScoreForTest reads the reduced score out of an rna state.
+func RNAGlobalScoreForTest(s exec.State) float64 { return s.(*rnaState).GlobalScore }
