@@ -107,6 +107,9 @@ type NodeCtx struct {
 	mode    Mode
 	actIdx  int   // index in active-node list, -1 if inactive
 	actives []int // ranks with non-zero work
+	// arena is the rank's share of a recycling run's arena (NewArray),
+	// nil in a run that does not recycle.
+	arena []byte
 }
 
 // ActiveIndex returns this rank's position among active (non-empty)
@@ -121,6 +124,31 @@ func (nc *NodeCtx) ActiveCount() int { return len(nc.actives) }
 
 // Layout returns the runtime residency layout for variable v.
 func (nc *NodeCtx) Layout(v string) memsim.Layout { return nc.plan[v] }
+
+// NewArray returns a zeroed buffer for the rank's block of distributed
+// variable name, Count elements of its ElemBytes, for Init to fill and
+// store on the rank's disk. In a run with Options.Recycle the buffer is
+// the rank's part of the run's arena; otherwise it is a new allocation.
+func (nc *NodeCtx) NewArray(name string) []byte {
+	var off int64
+	for _, v := range nc.Prog.Variables {
+		if !v.Distributed {
+			continue
+		}
+		n := int64(nc.Count) * v.ElemBytes
+		if v.Name != name {
+			off += n
+			continue
+		}
+		if nc.arena == nil {
+			return make([]byte, n)
+		}
+		b := nc.arena[off : off+n : off+n]
+		clear(b)
+		return b
+	}
+	panic(fmt.Sprintf("exec: NewArray(%q): not a distributed variable of %s", name, nc.Prog.Name))
+}
 
 // Result summarises one executed run.
 type Result struct {
@@ -151,6 +179,14 @@ type Options struct {
 	// run (dispatches, messages, parks — the events/sec numerator of the
 	// scale benchmarks).
 	EventStats *sched.Stats
+	// Recycle promises that the caller drops the world and the ranks'
+	// states once Run returns. NewArray then lays every rank's
+	// distributed arrays out in one arena, which Run hands on to the next
+	// recycling run instead of leaving a dataset's worth of garbage per
+	// run (the sweep's emulations and instrumented runs). The first
+	// recycling run of a process, or the first after DropArenas, has no
+	// arena yet and allocates like a plain run.
+	Recycle bool
 }
 
 // runEnv is one run's precomputed setup, shared read-only by every
@@ -170,6 +206,12 @@ type runEnv struct {
 	recs       []*mpijack.Recorder
 	starts     []float64
 	ends       []float64
+	// arena holds every rank's distributed arrays, rank after rank, in a
+	// recycling run that got one (nil otherwise); rowBytes is one row's
+	// share of it.
+	recycle  bool
+	arena    []byte
+	rowBytes int64
 }
 
 // Run executes app under distribution d on world w.
@@ -178,7 +220,11 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	if err := env.runEvent(); err != nil {
+	err = env.runEvent()
+	if env.recycle {
+		putArena(env.arena)
+	}
+	if err != nil {
 		return Result{}, err
 	}
 	return env.result(), nil
@@ -231,6 +277,12 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 			env.actives = append(env.actives, p)
 		}
 	}
+	for _, v := range env.dvars {
+		env.rowBytes += v.ElemBytes
+	}
+	if env.recycle = opts.Recycle && env.rowBytes > 0; env.recycle {
+		env.arena = takeArena(int64(row) * env.rowBytes)
+	}
 
 	instrument := opts.Mode == ModeInstrument
 	env.plans = residencyPlans(w.Spec(), env.dvars, d, instrument)
@@ -263,6 +315,11 @@ func (env *runEnv) setupRank(nc *NodeCtx, r *mpi.Rank) {
 		mode:    env.opts.Mode,
 		actIdx:  env.actIdx[p],
 		actives: env.actives,
+	}
+	if env.arena != nil {
+		lo := int64(env.startOf[p]) * env.rowBytes
+		hi := lo + int64(env.d[p])*env.rowBytes
+		nc.arena = env.arena[lo:hi:hi]
 	}
 	if env.opts.Mode == ModeInstrument {
 		nc.jack = mpijack.New()

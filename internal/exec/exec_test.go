@@ -1,6 +1,11 @@
 package exec_test
 
 import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 
 	"mheta/internal/apps"
@@ -381,4 +386,110 @@ func TestSharedDiskContentionCounts(t *testing.T) {
 	if k := exec.SharedDiskContention(spec, app.Prog, d2, false); k != 1 {
 		t.Fatalf("k = %v, want 1", k)
 	}
+}
+
+// TestRecycledRunsMatchFreshRuns runs Multigrid twice, Jacobi and
+// Multigrid again with Options.Recycle, checking each run's times and
+// final arrays against the same run on fresh memory, and that NewArray
+// hands every rank zeroed memory although the arena holds the last
+// run's values. The first run has no arena (the pool is unprimed after
+// DropArenas) and the second makes one, which the last must take from
+// the pool instead of allocating the dataset again.
+func TestRecycledRunsMatchFreshRuns(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection ages the pool mid-test
+	exec.DropArenas()
+	defer exec.DropArenas()
+	mc := apps.DefaultMGConfig()
+	mc.Rows, mc.Cols, mc.Iterations = 192, 64, 2
+	jacobi, _ := tinyJacobi()
+	zeroed := func(app *exec.App, v string) *exec.App {
+		return &exec.App{Prog: app.Prog, NewState: func(nc *exec.NodeCtx) exec.State {
+			if slices.ContainsFunc(nc.NewArray(v), func(b byte) bool { return b != 0 }) {
+				t.Errorf("%s rank %d: NewArray(%q) is not zeroed", app.Prog.Name, nc.R.Rank(), v)
+			}
+			return app.NewState(nc)
+		}}
+	}
+	mg, jacobi := zeroed(apps.NewMultigrid(mc), "U"), zeroed(jacobi, "B")
+	spec := uniformSpec(4, 8<<20)
+	runs := []struct {
+		app *exec.App
+		v   string
+		d   dist.Distribution
+	}{
+		{mg, "U", dist.Block(mc.Rows, 4)},
+		{mg, "U", dist.Distribution{60, 60, 40, 32}},
+		{jacobi, "B", dist.Distribution{100, 20, 36, 100}},
+		{mg, "U", dist.Distribution{20, 100, 40, 32}},
+	}
+	for k, c := range runs {
+		fresh := mpi.NewWorld(spec, 7, 0.02)
+		want, err := exec.Run(fresh, c.app, c.d, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := mpi.NewWorld(spec, 7, 0.02)
+		got, err := exec.Run(w, c.app, c.d, exec.Options{Recycle: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.NodeTimes, want.NodeTimes) {
+			t.Errorf("run %d: recycled node times %v, fresh %v", k, got.NodeTimes, want.NodeTimes)
+		}
+		// The arena is the pool's again, but no other run has taken it.
+		for p := range c.d {
+			if !bytes.Equal(w.Rank(p).Disk().Extent(c.v), fresh.Rank(p).Disk().Extent(c.v)) {
+				t.Errorf("run %d rank %d: recycled %s differs from the fresh run's", k, p, c.v)
+			}
+		}
+		dataset := uint64(mc.Rows * mc.Cols * 16)
+		if k == len(runs)-1 && after.TotalAlloc-before.TotalAlloc >= dataset/2 {
+			t.Errorf("recycled run allocated %d B, dataset %d B: the arena was not reused", after.TotalAlloc-before.TotalAlloc, dataset)
+		}
+	}
+}
+
+// TestRecycledRunsConcurrent has several goroutines run recycled
+// Jacobi emulations at once, with collections aging the pool between
+// them, and checks every run against a run on fresh memory; under
+// -race it checks that the pool orders its takers and the collector's
+// aging.
+func TestRecycledRunsConcurrent(t *testing.T) {
+	defer exec.DropArenas()
+	app, cfg := tinyJacobi()
+	spec := uniformSpec(4, 8<<20)
+	dists := []dist.Distribution{dist.Block(cfg.Rows, 4), {100, 20, 36, 100}, {20, 100, 100, 36}}
+	want := make([]float64, len(dists))
+	for i, d := range dists {
+		res, err := exec.Run(mpi.NewWorld(spec, 7, 0.02), app, d, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Time
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 6; k++ {
+				i := (g + k) % len(dists)
+				res, err := exec.Run(mpi.NewWorld(spec, 7, 0.02), app, dists[i], exec.Options{Recycle: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Time != want[i] {
+					t.Errorf("goroutine %d run %d: recycled time %v, fresh %v", g, k, res.Time, want[i])
+				}
+				if k%2 == 1 {
+					runtime.GC()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

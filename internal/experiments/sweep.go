@@ -258,7 +258,7 @@ func (e *emulation) time(d dist.Distribution) (float64, error) {
 	if e.prepare != nil {
 		e.prepare(w)
 	}
-	run, err := exec.Run(w, e.app, d, exec.Options{})
+	run, err := exec.Run(w, e.app, d, exec.Options{Recycle: true})
 	if err != nil {
 		return 0, err
 	}

@@ -37,7 +37,7 @@ func Collect(spec cluster.Spec, app *exec.App, baseDist dist.Distribution, seed 
 
 	// The instrumented iteration.
 	iw := mpi.NewWorld(spec, seed^0x5A5A5A5A, noiseAmp)
-	res, err := exec.Run(iw, app, baseDist, exec.Options{Mode: exec.ModeInstrument})
+	res, err := exec.Run(iw, app, baseDist, exec.Options{Mode: exec.ModeInstrument, Recycle: true})
 	if err != nil {
 		return core.Params{}, fmt.Errorf("instrument: instrumented iteration: %w", err)
 	}

@@ -103,8 +103,7 @@ const DefaultNoise = 0.02
 // Instrument runs the micro-benchmarks and the single instrumented
 // iteration (under Blk, as in the paper) and returns the compiled model.
 func Instrument(spec ClusterSpec, app *App, seed uint64) (*Model, error) {
-	base := BlockDistribution(app, spec)
-	params, err := instrument.Collect(spec, app, base, seed, DefaultNoise)
+	params, err := InstrumentParams(spec, app, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +111,11 @@ func Instrument(spec ClusterSpec, app *App, seed uint64) (*Model, error) {
 }
 
 // InstrumentParams is Instrument returning the raw parameter set (for
-// serialisation via the param file format).
+// serialisation via the param file format). It is a one-off: it leaves
+// no recycled dataset arena behind in the process (exec.DropArenas).
 func InstrumentParams(spec ClusterSpec, app *App, seed uint64) (Params, error) {
 	base := BlockDistribution(app, spec)
+	defer exec.DropArenas()
 	return instrument.Collect(spec, app, base, seed, DefaultNoise)
 }
 
